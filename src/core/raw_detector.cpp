@@ -154,95 +154,37 @@ AsymmetricDetector::DrainResult AsymmetricDetector::drain_batch(
   }
 
   // --- stage 3: gather ------------------------------------------------------
-  // Pre-apply snapshots of every distinct slot's write cell and filter
-  // pointer: a tight loop of independent loads, so the misses overlap
-  // instead of serializing down the probe's pointer chase. The write cell is
-  // gathered as a POINTER so the apply pass can store the record() through
-  // it without re-deriving the stripe indexing; the raw value snapshot is
-  // taken in the same pass. A prefetch of each filter header rides along —
-  // the header holds the bit-array pointer, the next link of the chase.
+  // Pre-apply snapshots of every distinct slot's write cell, plus a prefetch
+  // of its inline bloom words: a tight loop of independent accesses, so the
+  // misses overlap instead of serializing slot by slot in the apply pass.
+  // The write cell and the bloom words are gathered as POINTERS so the apply
+  // pass reaches both without re-deriving the stripe indexing.
   std::atomic<std::uint32_t>* wcell[kMaxDrainBlock];
   std::uint32_t lw_raw[kMaxDrainBlock];
-  support::BloomFilter* bf[kMaxDrainBlock];
-  // The second, dependent prefetch (each filter's bit words — a separate
-  // heap line behind the header pointer) is software-pipelined a fixed lag
-  // behind the gather: by the time slot k-kLag's words are requested, its
-  // header prefetch has had kLag iterations to arrive.
-  constexpr std::uint32_t kLag = 8;
+  std::atomic<std::uint64_t>* rwords[kMaxDrainBlock];
   for (std::uint32_t k = 0; k < m; ++k) {
     wcell[k] = write_sig_.cell_ptr(uslot[k]);
     lw_raw[k] = wcell[k]->load(std::memory_order_acquire);
-    bf[k] = read_sig_.filter_ptr(uslot[k]);
-#if defined(__GNUC__) || defined(__clang__)
-    if (bf[k] != nullptr) __builtin_prefetch(bf[k], 1 /*write*/, 1);
-    if (k >= kLag && bf[k - kLag] != nullptr) {
-      if (const void* words = bf[k - kLag]->bits_data(); words != nullptr) {
-        __builtin_prefetch(words, 1 /*write*/, 1);
-      }
-    }
-#endif
+    rwords[k] = read_sig_.words(uslot[k]);
+    read_sig_.prefetch(uslot[k]);
   }
-#if defined(__GNUC__) || defined(__clang__)
-  for (std::uint32_t k = m > kLag ? m - kLag : 0; k < m; ++k) {
-    if (bf[k] != nullptr) {
-      if (const void* words = bf[k]->bits_data(); words != nullptr) {
-        __builtin_prefetch(words, 1 /*write*/, 1);
-      }
-    }
-  }
-#endif
 
   // --- stage 4: apply, per-slot issue order ---------------------------------
   // Distinct slots own disjoint signature state, so applying slot-by-slot is
   // unobservable against the issue order; within a slot the order is
   // pre-write read insert, then clear+record, then post-write insert — the
-  // collapsed form of the slot's event sequence. Every filter touch goes
-  // through the gathered bf[k] pointer (the pointer is stable once
-  // published); read_sig_ is consulted again only when a filter must be
-  // allocated. A slot whose bf[k] is null at clear time has no reader set
-  // we are required to observe: a concurrent allocate+insert racing with
-  // this write is an unordered pair, and skipping the clear serializes the
-  // write before the insert — the same benign-race class as the
-  // load-before-RMW skip in BloomFilter::insert_probes.
+  // collapsed form of the slot's event sequence. The pre-write insert's
+  // "already present" answer is the "a not in read signature" judgement;
+  // bloom_insert_probes loads before it RMWs, so a repeat reader (the common
+  // case) costs loads only.
   const sigmem::ReadSignature::ProbeSet ps = read_sig_.probes_of(tid);
+  const std::size_t nwords = read_sig_.word_count();
   const std::uint32_t tid_cell = static_cast<std::uint32_t>(tid) + 1;
   for (std::uint32_t k = 0; k < m; ++k) {
     const std::uint8_t f = flags[k];
-    support::BloomFilter* filter = bf[k];
-    // The "a not in read signature" judgement: a pure function of the
-    // gathered snapshot, computed before this slot's first mutation. Only
-    // pre-read slots need it — write-only slots pay no probe-word loads.
-    bool covered = false;
-    if ((f & kPreRead) != 0 && filter != nullptr) {
-      std::uint64_t words[support::BloomFilter::kMaxProbes];
-      filter->gather_probe_words(ps.probes, ps.count, words);
-      covered = support::BloomFilter::words_cover(ps.probes, words, ps.count);
-    }
-    if (f == kPreRead) {
-      if (covered) [[likely]] continue;  // repeat reader: no state change
-      const bool already = filter != nullptr
-                               ? filter->insert_probes(ps.probes, ps.count)
-                               : read_sig_.insert(uslot[k], tid);
-      const std::uint32_t lw = lw_raw[k];
-      if (!already && lw != 0 && lw != tid_cell) {
-        dep_evt[result.deps] = first_read[k];
-        dep_producer[result.deps] = static_cast<std::int8_t>(lw - 1);
-        ++result.deps;
-      }
-      continue;
-    }
+    std::atomic<std::uint64_t>* w = rwords[k];
     if ((f & kPreRead) != 0) {
-      bool already = covered;
-      if (!already) {
-        if (filter != nullptr) {
-          already = filter->insert_probes(ps.probes, ps.count);
-        } else {
-          // Allocating insert; re-fetch the pointer so the write below
-          // clears exactly the filter this read populated.
-          already = read_sig_.insert(uslot[k], tid);
-          filter = read_sig_.filter_ptr(uslot[k]);
-        }
-      }
+      const bool already = support::bloom_insert_probes(w, ps.probes, ps.count);
       const std::uint32_t lw = lw_raw[k];
       if (!already && lw != 0 && lw != tid_cell) {
         dep_evt[result.deps] = first_read[k];
@@ -251,17 +193,13 @@ AsymmetricDetector::DrainResult AsymmetricDetector::drain_batch(
       }
     }
     if ((f & kWrite) != 0) {
-      if (filter != nullptr) filter->clear_sparing();
+      support::bloom_clear_sparing(w, nwords);
       if (lw_raw[k] != tid_cell) {
         wcell[k]->store(tid_cell, std::memory_order_release);
       }
     }
     if ((f & kPostRead) != 0) {
-      if (filter != nullptr) {
-        (void)filter->insert_probes(ps.probes, ps.count);
-      } else {
-        (void)read_sig_.insert(uslot[k], tid);
-      }
+      (void)support::bloom_insert_probes(w, ps.probes, ps.count);
     }
   }
   return result;

@@ -54,10 +54,8 @@ class AsymmetricDetector {
       : read_sig_(slots, max_threads, fp_rate, tracker),
         write_sig_(slots, tracker) {}
 
-  /// Precomputed slot pair for one address — the unit of the batched
-  /// hash-ahead: hash a whole block with slots_of(), prefetch() every pair,
-  /// then probe with on_read_at()/on_write_at(). Identical algorithm, same
-  /// slots, just with the hashing and cache misses hoisted out of the probe.
+  /// Precomputed slot pair for one address: the hashing hoisted out of the
+  /// probe (on_read_at/on_write_at). Identical algorithm, same slots.
   struct Slots {
     std::size_t read;
     std::size_t write;
@@ -69,24 +67,6 @@ class AsymmetricDetector {
     const std::uint64_t h =
         support::murmur_mix64(static_cast<std::uint64_t>(addr));
     return Slots{read_sig_.slot_from_hash(h), write_sig_.slot_from_hash(h)};
-  }
-
-  /// Stage-one prefetch: first-level cells of both signatures.
-  void prefetch(Slots s) const noexcept {
-    read_sig_.prefetch(s.read);
-    write_sig_.prefetch(s.write);
-  }
-
-  /// Stage-two prefetch: the read slot's bloom filter header (its pointer
-  /// should be cached by a prior prefetch()).
-  void prefetch_filter(Slots s) const noexcept {
-    read_sig_.prefetch_filter(s.read);
-  }
-
-  /// Stage-three prefetch: the bloom filter's bit words (their pointer should
-  /// be cached by a prior prefetch_filter()).
-  void prefetch_filter_bits(Slots s) const noexcept {
-    read_sig_.prefetch_filter_bits(s.read);
   }
 
   std::optional<int> on_read(std::uintptr_t addr, int tid) noexcept {
@@ -148,9 +128,9 @@ class AsymmetricDetector {
   ///      rule only a slot's FIRST pre-write read can yield a dependency, a
   ///      slot's writes collapse to one clear+record, and only a read after
   ///      the last write re-populates the reader set;
-  ///   3. gather passes load every distinct slot's write-sig cell, filter
-  ///      pointer and bloom probe words as independent loads (real
-  ///      memory-level parallelism instead of staggered prefetches);
+  ///   3. a gather pass loads every distinct slot's write-sig cell and
+  ///      prefetches its inline bloom words: independent accesses, so the
+  ///      misses overlap (memory-level parallelism);
   ///   4. the apply pass mutates each distinct slot in its per-slot issue
   ///      order (read-insert, then clear+record, then post-write insert).
   ///

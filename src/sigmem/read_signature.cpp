@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sigmem/write_signature.hpp"  // kSignatureStripes
-
 namespace commscope::sigmem {
 
 namespace {
-std::size_t floor_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
+support::BloomParams checked_params(std::size_t slots, int max_threads,
+                                    double fp_rate) {
+  if (slots == 0) throw std::invalid_argument("ReadSignature needs >= 1 slot");
+  if (max_threads < 1) throw std::invalid_argument("max_threads must be >= 1");
+  return support::bloom_params(static_cast<std::size_t>(max_threads), fp_rate);
 }
 }  // namespace
 
@@ -20,63 +19,24 @@ ReadSignature::ReadSignature(std::size_t slots, int max_threads, double fp_rate,
     : slots_(slots),
       max_threads_(max_threads),
       fp_rate_(fp_rate),
-      bloom_params_(
-          support::bloom_params(static_cast<std::size_t>(max_threads), fp_rate)),
+      bloom_params_(checked_params(slots, max_threads, fp_rate)),
+      width_(bloom_params_.bits / 64),
+      slot_mask_((slots & (slots - 1)) == 0 ? slots - 1 : 0),
+      probe_stride_(std::min(bloom_params_.hashes, support::kBloomMaxProbes)),
+      probes_(static_cast<std::size_t>(max_threads) * probe_stride_),
+      probe_counts_(static_cast<std::size_t>(max_threads)),
+      words_(slots, width_),
       tracker_(tracker) {
-  if (slots == 0) throw std::invalid_argument("ReadSignature needs >= 1 slot");
-  if (max_threads < 1) throw std::invalid_argument("max_threads must be >= 1");
-  slot_mask_ = (slots_ & (slots_ - 1)) == 0 ? slots_ - 1 : 0;
-  probe_stride_ =
-      std::min(bloom_params_.hashes, support::BloomFilter::kMaxProbes);
-  probes_.resize(static_cast<std::size_t>(max_threads_) * probe_stride_);
-  probe_counts_.resize(static_cast<std::size_t>(max_threads_));
   for (int t = 0; t < max_threads_; ++t) {
-    probe_counts_[static_cast<std::size_t>(t)] = support::BloomFilter::probes_for(
+    probe_counts_[static_cast<std::size_t>(t)] = support::bloom_probes_for(
         bloom_params_, static_cast<std::uint64_t>(t),
         &probes_[static_cast<std::size_t>(t) * probe_stride_]);
   }
-  const std::size_t n_stripes = std::min(kSignatureStripes, floor_pow2(slots_));
-  stripe_mask_ = n_stripes - 1;
-  stripe_shift_ = 0;
-  while ((std::size_t{1} << stripe_shift_) < n_stripes) ++stripe_shift_;
-  level1_.reserve(n_stripes);
-  for (std::size_t s = 0; s < n_stripes; ++s) {
-    const std::size_t len = stripe_len(s);
-    auto cells = std::make_unique<std::atomic<support::BloomFilter*>[]>(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      cells[i].store(nullptr, std::memory_order_relaxed);
-    }
-    level1_.push_back(std::move(cells));
-  }
-  if (tracker_ != nullptr) {
-    tracker_->add(slots_ * sizeof(std::atomic<support::BloomFilter*>));
-  }
+  if (tracker_ != nullptr) tracker_->add(byte_size());
 }
 
 ReadSignature::~ReadSignature() {
-  for (std::size_t s = 0; s < level1_.size(); ++s) {
-    const std::size_t len = stripe_len(s);
-    for (std::size_t i = 0; i < len; ++i) {
-      delete level1_[s][i].load(std::memory_order_relaxed);
-    }
-  }
   if (tracker_ != nullptr) tracker_->sub(byte_size());
-}
-
-support::BloomFilter* ReadSignature::get_or_create(std::size_t slot) noexcept {
-  support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  if (bf != nullptr) return bf;
-  auto fresh = std::make_unique<support::BloomFilter>(bloom_params_);
-  support::BloomFilter* expected = nullptr;
-  if (cell(slot).compare_exchange_strong(expected, fresh.get(),
-                                         std::memory_order_acq_rel)) {
-    allocated_.fetch_add(1, std::memory_order_relaxed);
-    if (tracker_ != nullptr) {
-      tracker_->add(sizeof(support::BloomFilter) + fresh->byte_size());
-    }
-    return fresh.release();  // ownership transferred to level1_
-  }
-  return expected;  // another thread won the race; `fresh` is discarded
 }
 
 bool ReadSignature::insert(std::size_t slot, int tid) noexcept {
@@ -88,45 +48,39 @@ bool ReadSignature::insert(std::size_t slot, int tid) noexcept {
   }
   if (tid >= max_threads_) [[unlikely]] {
     overflow_inserts_.fetch_add(1, std::memory_order_relaxed);
-    return get_or_create(slot)->insert(static_cast<std::uint64_t>(tid));
+    return support::bloom_insert(words(slot), bloom_params_,
+                                 static_cast<std::uint64_t>(tid));
   }
   // In-range tids (every insert Algorithm 1 issues) use the probe set
   // precomputed in the constructor: same bit positions, one RMW per word.
-  return get_or_create(slot)->insert_probes(
-      &probes_[static_cast<std::size_t>(tid) * probe_stride_],
-      probe_counts_[static_cast<std::size_t>(tid)]);
+  const ProbeSet ps = probes_of(tid);
+  return support::bloom_insert_probes(words(slot), ps.probes, ps.count);
 }
 
 bool ReadSignature::contains(std::size_t slot, int tid) const noexcept {
-  const support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  if (bf == nullptr) return false;
   if (tid < 0 || tid >= max_threads_) [[unlikely]] {
-    return bf->contains(static_cast<std::uint64_t>(tid));
+    return support::bloom_contains(words(slot), bloom_params_,
+                                   static_cast<std::uint64_t>(tid));
   }
-  return bf->contains_probes(
-      &probes_[static_cast<std::size_t>(tid) * probe_stride_],
-      probe_counts_[static_cast<std::size_t>(tid)]);
+  const ProbeSet ps = probes_of(tid);
+  return support::bloom_contains_probes(words(slot), ps.probes, ps.count);
 }
 
 bool ReadSignature::any(std::size_t slot) const noexcept {
-  const support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  return bf != nullptr && !bf->empty();
+  const std::atomic<std::uint64_t>* w = words(slot);
+  return std::any_of(w, w + width_, [](const std::atomic<std::uint64_t>& x) {
+    return x.load(std::memory_order_relaxed) != 0;
+  });
 }
 
 void ReadSignature::clear_slot(std::size_t slot) noexcept {
-  support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  if (bf != nullptr) bf->clear();
+  support::bloom_clear_sparing(words(slot), width_);
 }
 
 void ReadSignature::clear() noexcept {
-  for (std::size_t i = 0; i < slots_; ++i) clear_slot(i);
-}
-
-std::size_t ReadSignature::byte_size() const noexcept {
-  const std::size_t per_filter =
-      sizeof(support::BloomFilter) + bloom_params_.bits / 8;
-  return slots_ * sizeof(std::atomic<support::BloomFilter*>) +
-         allocated_.load(std::memory_order_relaxed) * per_filter;
+  words_.for_each([](std::atomic<std::uint64_t>& w) {
+    w.store(0, std::memory_order_release);
+  });
 }
 
 }  // namespace commscope::sigmem

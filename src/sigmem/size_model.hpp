@@ -6,16 +6,16 @@
 // where n is the signature slot count, t the thread count and FPRate the
 // bloom-filter false-positive target. The first term (4 bytes/slot) is the
 // one-level write signature; the second is the per-slot bloom filter of the
-// two-level read signature. The paper instantiates n = 10^7, t = 32,
-// FPRate = 0.001 and concludes "around 580MB could be sufficient".
-// bench/eq2_sigmem_model sweeps this model and checks it against the actual
-// allocations of the implementation.
+// read signature. The paper instantiates n = 10^7, t = 32, FPRate = 0.001
+// and concludes "around 580MB could be sufficient".
 //
-// Striping note: both signatures physically shard their n slots across
-// power-of-two stripes (write_signature.hpp). The model is unaffected — the
-// stripes partition exactly the same n cells with no padding, so SigMem(n,t)
-// still describes the total allocation, and per-thread FPR is untouched
-// because slot_of() and the bloom sizing never see the stripe layout.
+// The implementation allocates exactly n * (4 + 8W) bytes, W = bloom bits
+// / 64: the read signature stores each slot's filter inline, and the only
+// gap to the model is rounding the bloom up to whole 64-bit words.
+// bench/eq2_sigmem_model checks that equality (and fails otherwise). Both
+// signatures shard their slots across power-of-two stripes
+// (sigmem/stripes.hpp) with no padding, which changes neither the byte count
+// nor the per-thread FPR.
 #pragma once
 
 #include <cmath>

@@ -1,38 +1,22 @@
 #include "sigmem/write_signature.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace commscope::sigmem {
 
 namespace {
-/// Largest power of two <= n (n >= 1).
-std::size_t floor_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
+std::size_t checked_slots(std::size_t slots) {
+  if (slots == 0) throw std::invalid_argument("WriteSignature needs >= 1 slot");
+  return slots;
 }
 }  // namespace
 
 WriteSignature::WriteSignature(std::size_t slots,
                                support::MemoryTracker* tracker)
-    : slots_(slots), tracker_(tracker) {
-  if (slots == 0) throw std::invalid_argument("WriteSignature needs >= 1 slot");
-  slot_mask_ = (slots_ & (slots_ - 1)) == 0 ? slots_ - 1 : 0;
-  const std::size_t n_stripes =
-      std::min(kSignatureStripes, floor_pow2(slots_));
-  stripe_mask_ = n_stripes - 1;
-  stripe_shift_ = 0;
-  while ((std::size_t{1} << stripe_shift_) < n_stripes) ++stripe_shift_;
-  stripes_.reserve(n_stripes);
-  for (std::size_t s = 0; s < n_stripes; ++s) {
-    const std::size_t len = stripe_len(s);
-    auto cells = std::make_unique<std::atomic<std::uint32_t>[]>(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      cells[i].store(0, std::memory_order_relaxed);
-    }
-    stripes_.push_back(std::move(cells));
-  }
+    : slots_(checked_slots(slots)),
+      slot_mask_((slots & (slots - 1)) == 0 ? slots - 1 : 0),
+      cells_(slots, 1),
+      tracker_(tracker) {
   if (tracker_ != nullptr) tracker_->add(byte_size());
 }
 
@@ -41,22 +25,16 @@ WriteSignature::~WriteSignature() {
 }
 
 void WriteSignature::clear() noexcept {
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    const std::size_t len = stripe_len(s);
-    for (std::size_t i = 0; i < len; ++i) {
-      stripes_[s][i].store(0, std::memory_order_release);
-    }
-  }
+  cells_.for_each([](std::atomic<std::uint32_t>& c) {
+    c.store(0, std::memory_order_release);
+  });
 }
 
 std::size_t WriteSignature::occupancy() const noexcept {
   std::size_t n = 0;
-  for (std::size_t s = 0; s < stripes_.size(); ++s) {
-    const std::size_t len = stripe_len(s);
-    for (std::size_t i = 0; i < len; ++i) {
-      if (stripes_[s][i].load(std::memory_order_relaxed) != 0) ++n;
-    }
-  }
+  cells_.for_each([&n](const std::atomic<std::uint32_t>& c) {
+    n += c.load(std::memory_order_relaxed) != 0;
+  });
   return n;
 }
 

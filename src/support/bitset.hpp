@@ -45,14 +45,6 @@ class AtomicBitset {
     return (old & mask) != 0;
   }
 
-  /// Atomically ORs `mask` into word `w`; returns true iff every bit of the
-  /// mask was already set. One RMW for a whole probe group — the bulk
-  /// counterpart of calling set() once per bit.
-  bool set_word(std::size_t w, std::uint64_t mask) noexcept {
-    const std::uint64_t old = words_[w].fetch_or(mask, std::memory_order_acq_rel);
-    return (old & mask) == mask;
-  }
-
   [[nodiscard]] bool test(std::size_t i) const noexcept {
     const std::uint64_t mask = 1ULL << (i & 63U);
     return (words_[i >> 6].load(std::memory_order_acquire) & mask) != 0;
@@ -62,19 +54,6 @@ class AtomicBitset {
   void clear() noexcept {
     for (std::size_t w = 0; w < nwords_; ++w) {
       words_[w].store(0, std::memory_order_release);
-    }
-  }
-
-  /// clear() that skips words already zero. Same end state; the load-first
-  /// form avoids dirtying the cache line of an already-empty filter, which is
-  /// the common case when a batched drain clears the read slots of
-  /// write-dominated regions. Races exactly like clear() (a concurrent set
-  /// may land before or after the store — both serializations are legal).
-  void clear_sparing() noexcept {
-    for (std::size_t w = 0; w < nwords_; ++w) {
-      if (words_[w].load(std::memory_order_relaxed) != 0) {
-        words_[w].store(0, std::memory_order_release);
-      }
     }
   }
 
@@ -99,9 +78,14 @@ class AtomicBitset {
     return words_[w].load(std::memory_order_acquire);
   }
 
-  /// Address of the backing words, for cache prefetch hints only (null when
-  /// default-constructed).
-  [[nodiscard]] const void* data() const noexcept { return words_.get(); }
+  /// The backing words, for word-level algorithms (support/bloom.hpp); null
+  /// when default-constructed.
+  [[nodiscard]] std::atomic<std::uint64_t>* words() noexcept {
+    return words_.get();
+  }
+  [[nodiscard]] const std::atomic<std::uint64_t>* words() const noexcept {
+    return words_.get();
+  }
 
  private:
   std::size_t nbits_ = 0;

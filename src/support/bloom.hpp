@@ -16,6 +16,7 @@
 // required by the user").
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -48,137 +49,139 @@ struct BloomParams {
   return p;
 }
 
-/// Thread-safe bloom filter over 64-bit keys.
+// --- word-level probing ---------------------------------------------------
+// A filter is params.bits / 64 atomic words. These functions are the one
+// implementation of probing, for BloomFilter and the read signature's inline
+// filters. Keys are thread ids, so callers precompute a key's probes once,
+// grouped by word (bloom_probes_for): one RMW or load per touched word
+// instead of k hash evaluations and k RMWs.
+
+/// One precomputed probe group: the OR of every probed bit of `word`.
+struct BloomProbe {
+  std::uint32_t word;
+  std::uint64_t mask;
+};
+
+/// Maximum probe groups a key can produce (distinct words <= hash count).
+inline constexpr std::uint32_t kBloomMaxProbes = 32;
+
+/// Writes the probe set bloom_insert/bloom_contains would touch for `key`
+/// under `params` — identical double-hashing positions, grouped by word —
+/// and returns the group count. `out` must hold at least
+/// min(params.hashes, kBloomMaxProbes) entries.
+inline std::uint32_t bloom_probes_for(BloomParams params, std::uint64_t key,
+                                      BloomProbe* out) noexcept {
+  const HashPair hp = split_hash(murmur_mix64(key));
+  std::uint32_t n = 0;
+  for (std::uint32_t i = 0; i < params.hashes && n < kBloomMaxProbes; ++i) {
+    const std::size_t bit = km_hash(hp.h1, hp.h2, i) % params.bits;
+    const auto w = static_cast<std::uint32_t>(bit >> 6);
+    std::uint32_t j = 0;
+    while (j < n && out[j].word != w) ++j;
+    if (j == n) out[n++] = BloomProbe{w, 0};
+    out[j].mask |= 1ULL << (bit & 63U);
+  }
+  return n;
+}
+
+/// Inserts `key` bit by bit, all k hashes (uncapped); returns true if every
+/// probed bit was already set (the key was apparently present).
+inline bool bloom_insert(std::atomic<std::uint64_t>* words, BloomParams params,
+                         std::uint64_t key) noexcept {
+  const HashPair hp = split_hash(murmur_mix64(key));
+  bool all_set = true;
+  for (std::uint32_t i = 0; i < params.hashes; ++i) {
+    const std::size_t bit = km_hash(hp.h1, hp.h2, i) % params.bits;
+    const std::uint64_t mask = 1ULL << (bit & 63U);
+    all_set &= (words[bit >> 6].fetch_or(mask, std::memory_order_acq_rel) &
+                mask) != 0;
+  }
+  return all_set;
+}
+
+[[nodiscard]] inline bool bloom_contains(
+    const std::atomic<std::uint64_t>* words, BloomParams params,
+    std::uint64_t key) noexcept {
+  const HashPair hp = split_hash(murmur_mix64(key));
+  for (std::uint32_t i = 0; i < params.hashes; ++i) {
+    const std::size_t bit = km_hash(hp.h1, hp.h2, i) % params.bits;
+    if ((words[bit >> 6].load(std::memory_order_acquire) &
+         (1ULL << (bit & 63U))) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// bloom_insert with the probe set precomputed: bit-identical end state and
+/// answer, since "every distinct probed bit was already set" is exactly
+/// (old & mask) == mask per word.
+inline bool bloom_insert_probes(std::atomic<std::uint64_t>* words,
+                                const BloomProbe* probes,
+                                std::uint32_t n) noexcept {
+  bool all_set = true;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::atomic<std::uint64_t>& w = words[probes[i].word];
+    const std::uint64_t mask = probes[i].mask;
+    // Under the first-touch rule most reads are repeats whose bits are all
+    // set already; a plain load then costs a fraction of the RMW.
+    if ((w.load(std::memory_order_acquire) & mask) == mask) continue;
+    all_set &= (w.fetch_or(mask, std::memory_order_acq_rel) & mask) == mask;
+  }
+  return all_set;
+}
+
+/// bloom_contains with the probe set precomputed.
+[[nodiscard]] inline bool bloom_contains_probes(
+    const std::atomic<std::uint64_t>* words, const BloomProbe* probes,
+    std::uint32_t n) noexcept {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if ((words[probes[i].word].load(std::memory_order_acquire) &
+         probes[i].mask) != probes[i].mask) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Zeroes the filter, skipping words already zero, so clearing the (commonly
+/// empty) reader set of a write-dominated slot does not dirty its line.
+/// Races like a plain clear: either serialization with an insert is legal.
+inline void bloom_clear_sparing(std::atomic<std::uint64_t>* words,
+                                std::size_t nwords) noexcept {
+  for (std::size_t w = 0; w < nwords; ++w) {
+    if (words[w].load(std::memory_order_relaxed) != 0) {
+      words[w].store(0, std::memory_order_release);
+    }
+  }
+}
+
+/// Thread-safe bloom filter over 64-bit keys, owning its words.
 class BloomFilter {
  public:
-  BloomFilter() = default;
-
   BloomFilter(std::size_t capacity, double fp_rate)
-      : params_(bloom_params(capacity, fp_rate)), bits_(params_.bits) {}
-
+      : BloomFilter(bloom_params(capacity, fp_rate)) {}
   explicit BloomFilter(BloomParams params) : params_(params), bits_(params.bits) {}
 
-  /// Inserts `key`; returns true if the key was (apparently) already present,
-  /// i.e. every probed bit was already set.
+  /// Inserts `key`; returns true if the key was (apparently) already present.
   bool insert(std::uint64_t key) noexcept {
-    const HashPair hp = split_hash(murmur_mix64(key));
-    bool all_set = true;
-    for (std::uint32_t i = 0; i < params_.hashes; ++i) {
-      all_set &= bits_.set(km_hash(hp.h1, hp.h2, i) % params_.bits);
-    }
-    return all_set;
+    return bloom_insert(bits_.words(), params_, key);
   }
-
-  // --- precomputed probe sets ----------------------------------------------
-  //
-  // The read signature's key universe is thread ids, so the k probe
-  // positions for a given key are a pure function of (params, key) shared by
-  // every filter built from the same params. Callers that probe the same key
-  // millions of times (Algorithm 1 inserts the reading tid on EVERY read)
-  // precompute the positions once, grouped by backing word, and each
-  // insert/query becomes one RMW (or load) per touched word instead of k
-  // hash evaluations and k RMWs.
-
-  /// One precomputed probe group: the OR of every probed bit that falls in
-  /// backing word `word`.
-  struct Probe {
-    std::uint32_t word;
-    std::uint64_t mask;
-  };
-
-  /// Maximum probe groups a key can produce (distinct words <= hash count).
-  static constexpr std::uint32_t kMaxProbes = 32;
-
-  /// Writes the probe set insert(key)/contains(key) would touch under
-  /// `params` — identical double-hashing positions, grouped by word — and
-  /// returns the group count. `out` must hold at least
-  /// min(params.hashes, kMaxProbes) entries.
-  static std::uint32_t probes_for(BloomParams params, std::uint64_t key,
-                                  Probe* out) noexcept {
-    const HashPair hp = split_hash(murmur_mix64(key));
-    std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < params.hashes && n < kMaxProbes; ++i) {
-      const std::size_t bit = km_hash(hp.h1, hp.h2, i) % params.bits;
-      const auto w = static_cast<std::uint32_t>(bit >> 6);
-      const std::uint64_t mask = 1ULL << (bit & 63U);
-      std::uint32_t j = 0;
-      while (j < n && out[j].word != w) ++j;
-      if (j == n) out[n++] = Probe{w, 0};
-      out[j].mask |= mask;
-    }
-    return n;
-  }
-
-  /// insert(key) with the probe set precomputed. Bit-identical end state and
-  /// the same "already present" answer: per-bit insert() reports true iff
-  /// every DISTINCT probed position was set before this call (a position
-  /// probed twice reads its own first set, which probes_for() deduplicates
-  /// by construction), which is exactly (old & mask) == mask per word.
-  bool insert_probes(const Probe* probes, std::uint32_t n) noexcept {
-    bool all_set = true;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      // Under the first-touch rule most reads are repeats whose bits are all
-      // set already; a plain load then costs a fraction of the RMW and the
-      // end state (and return value) is unchanged.
-      if ((bits_.word(probes[i].word) & probes[i].mask) == probes[i].mask) {
-        continue;
-      }
-      all_set &= bits_.set_word(probes[i].word, probes[i].mask);
-    }
-    return all_set;
-  }
-
-  /// contains(key) with the probe set precomputed.
-  [[nodiscard]] bool contains_probes(const Probe* probes,
-                                     std::uint32_t n) const noexcept {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if ((bits_.word(probes[i].word) & probes[i].mask) != probes[i].mask) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // --- block-gathered probes -----------------------------------------------
-  //
-  // The batched drain splits contains_probes into a load pass and a judge
-  // pass so a whole block of filters can be probed with independent loads
-  // (memory-level parallelism) before any result is consumed:
-  // gather_probe_words() per filter, then words_cover() on the snapshots.
-  // words_cover(p, gathered, n) == contains_probes(p, n) against the state
-  // the gather observed — the judge is a pure function of the snapshot.
-
-  /// Loads (acquire) the backing word of each probe group into `out`.
-  void gather_probe_words(const Probe* probes, std::uint32_t n,
-                          std::uint64_t* out) const noexcept {
-    for (std::uint32_t i = 0; i < n; ++i) out[i] = bits_.word(probes[i].word);
-  }
-
-  /// contains_probes over a gathered snapshot: true iff every probe group's
-  /// mask is fully covered by its snapshot word.
-  [[nodiscard]] static bool words_cover(const Probe* probes,
-                                        const std::uint64_t* words,
-                                        std::uint32_t n) noexcept {
-    bool all = true;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      all &= (words[i] & probes[i].mask) == probes[i].mask;
-    }
-    return all;
-  }
-
   [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-    const HashPair hp = split_hash(murmur_mix64(key));
-    for (std::uint32_t i = 0; i < params_.hashes; ++i) {
-      if (!bits_.test(km_hash(hp.h1, hp.h2, i) % params_.bits)) return false;
-    }
-    return true;
+    return bloom_contains(bits_.words(), params_, key);
+  }
+  bool insert_probes(const BloomProbe* probes, std::uint32_t n) noexcept {
+    return bloom_insert_probes(bits_.words(), probes, n);
+  }
+  [[nodiscard]] bool contains_probes(const BloomProbe* probes,
+                                     std::uint32_t n) const noexcept {
+    return bloom_contains_probes(bits_.words(), probes, n);
   }
 
   void clear() noexcept { bits_.clear(); }
-
-  /// clear() that skips already-zero words (see AtomicBitset::clear_sparing).
-  /// Used by the batched drain, where most cleared filters are already empty.
-  void clear_sparing() noexcept { bits_.clear_sparing(); }
+  void clear_sparing() noexcept {
+    bloom_clear_sparing(bits_.words(), bits_.word_count());
+  }
 
   [[nodiscard]] std::size_t bit_count() const noexcept { return params_.bits; }
   [[nodiscard]] std::uint32_t hash_count() const noexcept {
@@ -189,10 +192,6 @@ class BloomFilter {
   }
   [[nodiscard]] std::size_t popcount() const noexcept { return bits_.count(); }
   [[nodiscard]] bool empty() const noexcept { return !bits_.any(); }
-
-  /// Address of the bit words, for cache prefetch hints (see
-  /// ReadSignature::prefetch_filter_bits).
-  [[nodiscard]] const void* bits_data() const noexcept { return bits_.data(); }
 
   /// Measured false-positive probability given the current fill level:
   /// (popcount/m)^k. Used by tests to validate the sizing law.

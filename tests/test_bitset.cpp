@@ -45,83 +45,6 @@ TEST(AtomicBitset, ClearZeroesEverything) {
   EXPECT_EQ(bs.count(), 0u);
 }
 
-TEST(AtomicBitset, SetWordReportsWhetherMaskWasCovered) {
-  cs::AtomicBitset bs(128);
-  // Empty word: nothing covered.
-  EXPECT_FALSE(bs.set_word(0, 0b1011));
-  // Exact repeat: fully covered.
-  EXPECT_TRUE(bs.set_word(0, 0b1011));
-  // Overlapping mask with one new bit: not fully covered, but merges.
-  EXPECT_FALSE(bs.set_word(0, 0b1111));
-  EXPECT_TRUE(bs.set_word(0, 0b1111));
-  EXPECT_EQ(bs.count(), 4u);
-}
-
-TEST(AtomicBitset, SetWordAtWordBoundaries) {
-  // Masks touching bit 0, bit 63, and the first bit of the next word: the
-  // per-word API must never smear across the 64-bit boundary the way a
-  // miscomputed shift would.
-  cs::AtomicBitset bs(192);
-  EXPECT_FALSE(bs.set_word(0, 1ULL << 63));
-  EXPECT_FALSE(bs.set_word(1, 1ULL));
-  EXPECT_TRUE(bs.test(63));
-  EXPECT_TRUE(bs.test(64));
-  EXPECT_FALSE(bs.test(62));
-  EXPECT_FALSE(bs.test(65));
-  // A probe group straddling a boundary is two Probe entries, one per word;
-  // setting both reproduces set() on each bit exactly.
-  EXPECT_FALSE(bs.set_word(2, (1ULL << 0) | (1ULL << 63)));
-  EXPECT_TRUE(bs.test(128));
-  EXPECT_TRUE(bs.test(191));
-  EXPECT_EQ(bs.count(), 4u);
-}
-
-TEST(AtomicBitset, SetWordMatchesPerBitSet) {
-  // set_word(w, mask) must be equivalent to set() on every bit of the mask,
-  // including the aggregated already-present answer.
-  cs::AtomicBitset via_word(64);
-  cs::AtomicBitset via_bits(64);
-  const std::uint64_t masks[] = {0x8000000000000001ULL, 0x00f0ULL, 0x00f1ULL,
-                                 0xffffffffffffffffULL};
-  for (const std::uint64_t mask : masks) {
-    const bool covered = via_word.set_word(0, mask);
-    bool all_prev = true;
-    for (int b = 0; b < 64; ++b) {
-      if ((mask >> b) & 1ULL) all_prev &= via_bits.set(static_cast<std::size_t>(b));
-    }
-    EXPECT_EQ(covered, all_prev) << "mask=" << mask;
-    EXPECT_EQ(via_word.word(0), via_bits.word(0)) << "mask=" << mask;
-  }
-}
-
-TEST(AtomicBitset, ClearSparingMatchesClear) {
-  cs::AtomicBitset bs(256);
-  bs.set(1);
-  bs.set(200);
-  bs.clear_sparing();
-  EXPECT_EQ(bs.count(), 0u);
-  EXPECT_FALSE(bs.any());
-  bs.clear_sparing();  // already empty: still empty, no crash
-  EXPECT_EQ(bs.count(), 0u);
-}
-
-TEST(AtomicBitset, ConcurrentSameWordSetWordLosesNoBits) {
-  // All threads RMW the SAME word with interleaving masks — the contention
-  // shape of concurrent bloom inserts into one hot slot. fetch_or must merge
-  // every mask; TSan runs this in CI's sanitizer jobs.
-  cs::AtomicBitset bs(64);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&bs, t] {
-      std::uint64_t mask = 0;
-      for (int b = t; b < 64; b += kThreads) mask |= 1ULL << b;
-      for (int rep = 0; rep < 1000; ++rep) bs.set_word(0, mask);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bs.word(0), ~0ULL);
-}
 
 TEST(AtomicBitset, ConcurrentSettersLoseNoBits) {
   constexpr std::size_t kBits = 4096;

@@ -1,8 +1,8 @@
 // Bloom-filter tests: Eq. 2 sizing law, no-false-negative guarantee, a
 // parameterized sweep verifying the realized FPR respects the configured
 // target across (capacity, fp_rate) operating points, and the word-level
-// probe paths (probes_for / insert_probes / contains_probes / gathered
-// words) the batched ingest drain is built on.
+// probe paths (bloom_probes_for / insert_probes / contains_probes /
+// clear_sparing) the read signature and the batched ingest drain run on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -85,8 +85,8 @@ TEST(BloomProbes, ProbesForDedupesWordsAndBoundsCount) {
                                 {64, 0.001}}) {
     const cs::BloomParams params = cs::bloom_params(cap, fp);
     for (std::uint64_t key = 0; key < 200; ++key) {
-      cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-      const std::uint32_t n = cs::BloomFilter::probes_for(params, key, probes);
+      cs::BloomProbe probes[cs::kBloomMaxProbes];
+      const std::uint32_t n = cs::bloom_probes_for(params, key, probes);
       ASSERT_GE(n, 1u);
       ASSERT_LE(n, params.hashes);
       std::uint32_t total_bits = 0;
@@ -114,8 +114,8 @@ TEST(BloomProbes, InsertProbesMatchesPerKeyInsertExactly) {
   cs::BloomFilter b(params);
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t key = 0; key < 16; ++key) {
-      cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-      const std::uint32_t n = cs::BloomFilter::probes_for(params, key, probes);
+      cs::BloomProbe probes[cs::kBloomMaxProbes];
+      const std::uint32_t n = cs::bloom_probes_for(params, key, probes);
       ASSERT_EQ(a.insert(key), b.insert_probes(probes, n))
           << "round " << round << " key " << key;
       ASSERT_EQ(a.popcount(), b.popcount());
@@ -130,35 +130,12 @@ TEST(BloomProbes, InsertProbesSecondCallTakesLoadSkipPath) {
   // "already present" and leave the filter unchanged.
   const cs::BloomParams params = cs::bloom_params(32, 0.001);
   cs::BloomFilter bf(params);
-  cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-  const std::uint32_t n = cs::BloomFilter::probes_for(params, 5, probes);
+  cs::BloomProbe probes[cs::kBloomMaxProbes];
+  const std::uint32_t n = cs::bloom_probes_for(params, 5, probes);
   EXPECT_FALSE(bf.insert_probes(probes, n));
   const std::size_t pop = bf.popcount();
   EXPECT_TRUE(bf.insert_probes(probes, n));
   EXPECT_EQ(bf.popcount(), pop);
-}
-
-TEST(BloomProbes, GatheredWordsJudgeLikeContainsProbes) {
-  // words_cover over a gather_probe_words snapshot is contains_probes split
-  // into its load and judge halves; they must agree before and after the
-  // key is present, and a snapshot taken before an insert must still judge
-  // the old state (it is a pure function of the snapshot).
-  const cs::BloomParams params = cs::bloom_params(16, 0.001);
-  cs::BloomFilter bf(params);
-  cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-  const std::uint32_t n = cs::BloomFilter::probes_for(params, 3, probes);
-  std::uint64_t words[cs::BloomFilter::kMaxProbes];
-  bf.gather_probe_words(probes, n, words);
-  EXPECT_FALSE(cs::BloomFilter::words_cover(probes, words, n));
-  EXPECT_EQ(cs::BloomFilter::words_cover(probes, words, n),
-            bf.contains_probes(probes, n));
-  bf.insert(3);
-  // Stale snapshot still judges the pre-insert state...
-  EXPECT_FALSE(cs::BloomFilter::words_cover(probes, words, n));
-  // ...and a fresh gather agrees with contains_probes again.
-  bf.gather_probe_words(probes, n, words);
-  EXPECT_TRUE(cs::BloomFilter::words_cover(probes, words, n));
-  EXPECT_TRUE(bf.contains_probes(probes, n));
 }
 
 TEST(BloomProbes, ClearSparingMatchesClear) {
@@ -183,12 +160,12 @@ TEST(BloomProbes, ConcurrentSameFilterInsertsLoseNoKey) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&bf, &params, t] {
-      cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
+      cs::BloomProbe probes[cs::kBloomMaxProbes];
       for (int rep = 0; rep < 500; ++rep) {
         for (std::uint64_t key = static_cast<std::uint64_t>(t); key < 64;
              key += kThreads) {
           const std::uint32_t n =
-              cs::BloomFilter::probes_for(params, key, probes);
+              cs::bloom_probes_for(params, key, probes);
           bf.insert_probes(probes, n);
         }
       }

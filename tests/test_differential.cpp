@@ -33,6 +33,7 @@
 #include "core/profiler.hpp"
 #include "core/region_tree.hpp"
 #include "instrument/loop_registry.hpp"
+#include "support/bloom.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 
@@ -417,21 +418,51 @@ TEST(Differential, ScalarForcedBatchedStillMatchesUnbatchedInline) {
 
 // --- FPR vs exact ----------------------------------------------------------
 
+namespace {
+
+/// The signature backend diverges from the exact baseline through exactly
+/// two mechanisms, both bounded by the Eq. 2 sizing (size_model.hpp):
+///
+///  * bloom false positives on the "a not in read signature" probe SUPPRESS
+///    a dependency (the reader looks already-known). Eq. 2 sizes each slot's
+///    filter so that with t resident readers the per-probe FPR is at most
+///    fp_rate; the expected undercount is <= fp_rate * reads.
+///  * slot aliasing (distinct words hashing to the same slot) can
+///    mis-attribute or double-count a producer. With W words and n slots
+///    the expected number of colliding word pairs is W^2 / (2n) — here
+///    512^2 / (2 * 65536) = 2 — each perturbing at most a handful of edges.
+///
+/// The bound allows 5x the Eq. 2 expectation plus a flat aliasing
+/// allowance; the traces are seeded, so the check is deterministic.
+void expect_within_eq2_bound(const cc::Profiler& sig, const cc::Profiler& exact,
+                             double fp_rate, const std::string& context) {
+  SCOPED_TRACE(context);
+  const auto ss = sig.stats();
+  const auto es = exact.stats();
+  ASSERT_EQ(ss.accesses, es.accesses);
+  ASSERT_EQ(ss.reads, es.reads);
+
+  const double fpr_budget = 5.0 * fp_rate * static_cast<double>(ss.reads);
+  const double aliasing_budget = 32.0;
+  const double bound = fpr_budget + aliasing_budget;
+  const double diff = static_cast<double>(
+      ss.dependencies > es.dependencies ? ss.dependencies - es.dependencies
+                                        : es.dependencies - ss.dependencies);
+  EXPECT_LE(diff, bound) << "sig=" << ss.dependencies
+                         << " exact=" << es.dependencies
+                         << " reads=" << ss.reads;
+
+  // The matrices must agree in the aggregate to the same tolerance
+  // (divergence is per-edge, bytes per edge <= 8).
+  const std::uint64_t st = sig.communication_matrix().total();
+  const std::uint64_t et = exact.communication_matrix().total();
+  const double byte_diff = static_cast<double>(st > et ? st - et : et - st);
+  EXPECT_LE(byte_diff, 8.0 * bound);
+}
+
+}  // namespace
+
 TEST(Differential, SignatureFprVsExactStaysUnderEq2Bound) {
-  // The signature backend diverges from the exact baseline through exactly
-  // two mechanisms, both bounded by the Eq. 2 sizing (size_model.hpp):
-  //
-  //  * bloom false positives on the "a not in read signature" probe SUPPRESS
-  //    a dependency (the reader looks already-known). Eq. 2 sizes each slot's
-  //    filter so that with t resident readers the per-probe FPR is at most
-  //    fp_rate; the expected undercount is <= fp_rate * reads.
-  //  * slot aliasing (distinct words hashing to the same slot) can
-  //    mis-attribute or double-count a producer. With W words and n slots
-  //    the expected number of colliding word pairs is W^2 / (2n) — here
-  //    512^2 / (2 * 65536) = 2 — each perturbing at most a handful of edges.
-  //
-  // The bound below allows 5x the Eq. 2 expectation plus a flat aliasing
-  // allowance; the traces are seeded, so the check is deterministic.
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
     TraceShape shape;
     const auto ops = make_trace(seed, shape);
@@ -440,31 +471,52 @@ TEST(Differential, SignatureFprVsExactStaysUnderEq2Bound) {
     sig_o.batch_size = 64;
     auto exact_o = base_options(cc::Backend::kExact, shape.threads);
     exact_o.batch_size = 64;
-    const auto sig = replay(ops, sig_o);
-    const auto exact = replay(ops, exact_o);
+    expect_within_eq2_bound(*replay(ops, sig_o), *replay(ops, exact_o),
+                            sig_o.fp_rate, "seed=" + std::to_string(seed));
+  }
+}
 
-    const auto ss = sig->stats();
-    const auto es = exact->stats();
-    ASSERT_EQ(ss.accesses, es.accesses);
-    ASSERT_EQ(ss.reads, es.reads);
-
-    const double fpr_budget =
-        5.0 * sig_o.fp_rate * static_cast<double>(ss.reads);
-    const double aliasing_budget = 32.0;
-    const double bound = fpr_budget + aliasing_budget;
-    const double diff = static_cast<double>(
-        ss.dependencies > es.dependencies ? ss.dependencies - es.dependencies
-                                          : es.dependencies - ss.dependencies);
-    EXPECT_LE(diff, bound)
-        << "seed=" << seed << " sig=" << ss.dependencies
-        << " exact=" << es.dependencies << " reads=" << ss.reads;
-
-    // The matrices must agree in the aggregate to the same tolerance
-    // (divergence is per-edge, bytes per edge <= 8).
-    const std::uint64_t st = sig->communication_matrix().total();
-    const std::uint64_t et = exact->communication_matrix().total();
-    const double byte_diff = static_cast<double>(st > et ? st - et : et - st);
-    EXPECT_LE(byte_diff, 8.0 * bound) << "seed=" << seed;
+// --- bloom-width axis -------------------------------------------------------
+//
+// The read signature keeps W = bits / 64 inline bloom words per slot, and W
+// grows with the thread count: 1 word at 4 threads, 2 at 8, 8 (a whole cache
+// line) at 32. At every width the batched drain must match the per-event
+// path byte for byte, dispatched and scalar-forced, and the signature must
+// stay inside the Eq. 2 envelope against the exact backend.
+TEST(Differential, BloomWidthAxisBitIdenticalAndUnderEq2Bound) {
+  SimdGuard guard;
+  const struct { int threads; std::size_t words; } widths[] = {
+      {4, 1}, {8, 2}, {32, 8}};
+  for (const auto& w : widths) {
+    TraceShape shape;
+    shape.threads = w.threads;
+    const std::uint64_t seed = 5150 + static_cast<std::uint64_t>(w.threads);
+    const auto ops = make_trace(seed, shape);
+    const auto sig_o =
+        base_options(cc::Backend::kAsymmetricSignature, w.threads);
+    ASSERT_EQ(cs::bloom_params(static_cast<std::size_t>(w.threads),
+                               sig_o.fp_rate).bits / 64,
+              w.words);
+    const auto per_event = replay(ops, sig_o);
+    ASSERT_GT(per_event->stats().dependencies, 0u);
+    const std::string want = matrix_bytes(*per_event);
+    for (const bool scalar : {false, true}) {
+      for (const std::uint32_t b : {0u, 64u}) {
+        cs::simd_force_scalar(scalar);
+        auto o = sig_o;
+        o.batch_size = b;
+        const auto got = replay(ops, o);
+        cs::simd_force_scalar(false);
+        const std::string context = "W=" + std::to_string(w.words) +
+                                    (scalar ? " scalar " : " dispatched ") +
+                                    case_name(seed, w.threads, b);
+        expect_identical(*per_event, *got, context);
+        EXPECT_EQ(want, matrix_bytes(*got)) << context;
+      }
+    }
+    expect_within_eq2_bound(
+        *per_event, *replay(ops, base_options(cc::Backend::kExact, w.threads)),
+        sig_o.fp_rate, "W=" + std::to_string(w.words));
   }
 }
 

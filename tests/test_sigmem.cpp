@@ -1,5 +1,5 @@
-// Signature-memory unit tests: one-level write signature, two-level read
-// signature (lazy bloom allocation, clear-on-write recycling), the exact
+// Signature-memory unit tests: one-level write signature, read signature
+// (flat inline blooms charged at construction, clear-on-write), the exact
 // baseline's Algorithm-1 semantics, and the Eq. 2 memory model including the
 // paper's "~580 MB at n=10^7, t=32, p=0.001" reference point.
 #include <gtest/gtest.h>
@@ -79,17 +79,6 @@ TEST(WriteSignature, RejectsZeroSlots) {
 
 // --- ReadSignature ----------------------------------------------------------
 
-TEST(ReadSignature, LazyBloomAllocation) {
-  sg::ReadSignature rs(64, 8, 0.001);
-  EXPECT_EQ(rs.allocated_filters(), 0u);
-  rs.insert(3, 1);
-  EXPECT_EQ(rs.allocated_filters(), 1u);
-  rs.insert(3, 2);  // same slot: no new filter
-  EXPECT_EQ(rs.allocated_filters(), 1u);
-  rs.insert(9, 1);
-  EXPECT_EQ(rs.allocated_filters(), 2u);
-}
-
 TEST(ReadSignature, InsertReportsPriorMembership) {
   sg::ReadSignature rs(16, 8, 0.001);
   EXPECT_FALSE(rs.insert(4, 5));
@@ -106,9 +95,8 @@ TEST(ReadSignature, ClearSlotRecyclesFilter) {
   rs.clear_slot(2);
   EXPECT_FALSE(rs.contains(2, 1));
   EXPECT_FALSE(rs.contains(2, 3));
-  // Storage is retained, not freed: allocation count unchanged.
-  EXPECT_EQ(rs.allocated_filters(), 1u);
-  // And the slot is immediately reusable.
+  EXPECT_FALSE(rs.any(2));
+  // The slot is immediately reusable.
   EXPECT_FALSE(rs.insert(2, 1));
   EXPECT_TRUE(rs.contains(2, 1));
 }
@@ -120,14 +108,6 @@ TEST(ReadSignature, ClearAllSlots) {
   for (std::size_t s = 0; s < 8; ++s) EXPECT_FALSE(rs.contains(s, 2));
 }
 
-TEST(ReadSignature, ByteSizeGrowsWithAllocatedFilters) {
-  sg::ReadSignature rs(32, 32, 0.001);
-  const std::size_t base = rs.byte_size();
-  rs.insert(0, 0);
-  rs.insert(1, 0);
-  EXPECT_GT(rs.byte_size(), base);
-}
-
 TEST(ReadSignature, BloomSizingMatchesEq2Term) {
   sg::ReadSignature rs(8, 32, 0.001);
   const cs::BloomParams expected = cs::bloom_params(32, 0.001);
@@ -135,15 +115,75 @@ TEST(ReadSignature, BloomSizingMatchesEq2Term) {
   EXPECT_EQ(rs.bloom_params().hashes, expected.hashes);
 }
 
-TEST(ReadSignature, ConcurrentFirstInsertAgreesOnOneFilter) {
-  sg::ReadSignature rs(4, 16, 0.001);
+TEST(ReadSignature, ByteSizeIsFlatAndChargedAtConstruction) {
+  // n slots x W inline bloom words, W = bits / 64, whatever is inserted:
+  // t = 4 -> W = 1, t = 8 -> W = 2, t = 32 -> W = 8 at p = 0.001.
+  for (const int t : {4, 8, 32}) {
+    const std::size_t n = 1000;  // not a power of two: exact stripe lengths
+    const std::size_t w =
+        cs::bloom_params(static_cast<std::size_t>(t), 0.001).bits / 64;
+    cs::MemoryTracker tracker;
+    {
+      sg::ReadSignature rs(n, t, 0.001, &tracker);
+      EXPECT_EQ(rs.word_count(), w);
+      EXPECT_EQ(rs.byte_size(), n * 8 * w) << "t=" << t;
+      EXPECT_EQ(tracker.current(), n * 8 * w) << "charged at construction";
+      for (std::size_t s = 0; s < n; ++s) rs.insert(s, static_cast<int>(s) % t);
+      EXPECT_EQ(rs.byte_size(), n * 8 * w) << "inserts allocate nothing";
+      EXPECT_EQ(tracker.current(), n * 8 * w);
+    }
+    EXPECT_EQ(tracker.current(), 0u) << "released on destruction";
+  }
+  EXPECT_EQ(cs::bloom_params(4, 0.001).bits / 64, 1u);
+  EXPECT_EQ(cs::bloom_params(8, 0.001).bits / 64, 2u);
+  EXPECT_EQ(cs::bloom_params(32, 0.001).bits / 64, 8u);
+}
+
+TEST(ReadSignature, ConcurrentInsertsIntoOneSlotKeepEveryReader) {
+  // Eight readers racing on one slot's inline words (a multi-word filter at
+  // t = 32): fetch_or never loses a bit, so every tid must be present.
+  sg::ReadSignature rs(4, 32, 0.001);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&rs, t] { rs.insert(1, t); });
+    threads.emplace_back([&rs, t] {
+      for (int rep = 0; rep < 200; ++rep) rs.insert(1, t);
+    });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(rs.allocated_filters(), 1u);
-  for (int t = 0; t < 8; ++t) EXPECT_TRUE(rs.contains(1, t));
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_TRUE(rs.contains(1, t)) << "lost tid " << t;
+  }
+  for (const std::size_t other : {0, 2, 3}) EXPECT_FALSE(rs.any(other));
+}
+
+TEST(ReadSignature, OutOfRangeTidsMatchBloomFilterReference) {
+  // tids >= max_threads take the uncapped per-bit path and negative tids are
+  // rejected; a BloomFilter built from the same params is the reference for
+  // both the insert answers and every later membership query.
+  for (const int t : {4, 32}) {
+    sg::ReadSignature rs(64, t, 0.001);
+    cs::BloomFilter ref(rs.bloom_params());
+    for (const int tid : {t, t + 1, 2 * t + 5, 1000, t, 1000}) {
+      EXPECT_EQ(rs.insert(7, tid), ref.insert(static_cast<std::uint64_t>(tid)))
+          << "t=" << t << " tid=" << tid;
+    }
+    EXPECT_TRUE(rs.insert(7, -3));  // rejected: never reaches the filter
+    EXPECT_EQ(rs.rejected(), 1u);
+    EXPECT_EQ(rs.overflow_inserts(), 6u);
+    for (int tid = -64; tid < 2048; ++tid) {
+      ASSERT_EQ(rs.contains(7, tid),
+                ref.contains(static_cast<std::uint64_t>(tid)))
+          << "t=" << t << " tid=" << tid;
+    }
+    // In-range tids go through the precomputed probes; same positions.
+    for (int tid = 0; tid < t; ++tid) {
+      EXPECT_EQ(rs.insert(7, tid), ref.insert(static_cast<std::uint64_t>(tid)));
+    }
+    for (int tid = -64; tid < 2048; ++tid) {
+      ASSERT_EQ(rs.contains(7, tid),
+                ref.contains(static_cast<std::uint64_t>(tid)));
+    }
+  }
 }
 
 TEST(ReadSignature, RejectsBadArguments) {
