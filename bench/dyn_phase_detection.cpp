@@ -8,9 +8,10 @@
 //
 // The bench profiles fft (whose stages shift the butterfly span) and a
 // two-task composite (stencil sweeps then an all-to-all reduction), slices
-// the dependency stream into fixed-volume windows, and segments the windows
-// into phases. The reproduced claim: the composite's whole-run matrix blurs
-// two patterns that phase detection separates cleanly.
+// the dependency stream into fixed-volume windows (the flight recorder's
+// bytes-triggered epochs), and segments the windows into phases. The
+// reproduced claim: the composite's whole-run matrix blurs two patterns that
+// phase detection separates cleanly.
 #include "bench_common.hpp"
 
 #include <vector>
@@ -100,7 +101,7 @@ int main() {
   run_composite(profiler, team, 4096, 4);
 
   const std::vector<cc::Matrix> windows = profiler.phase_timeline();
-  const std::vector<cc::Phase> phases = cc::detect_phases(windows, 0.75, cc::PhaseMetric::kOffsetCosine);
+  const std::vector<cc::Phase> phases = cc::detect_phases(windows, 0.75);
   std::cout << "Composite (stencil -> all-to-all): " << windows.size()
             << " windows, " << phases.size() << " phases detected\n";
 
@@ -148,8 +149,8 @@ int main() {
 
   // DVFS application (Section III.A): plan frequency levels per phase from
   // communication intensity and report the projected energy saving.
-  const commscope::power::DvfsPlan dvfs = commscope::power::plan_dvfs(
-      windows, profiler.phase_window_accesses());
+  const commscope::power::DvfsPlan dvfs =
+      commscope::power::plan_dvfs(profiler.epoch_timeline());
   std::cout << "\nDVFS plan from the phase timeline:\n" << dvfs.to_string();
   std::cout << "(paper cites ~30% power reduction from slowing the processor "
                "during detected communication phases)\n";

@@ -80,7 +80,7 @@ int main() {
   profiler.finalize();
 
   const std::vector<cc::Matrix> windows = profiler.phase_timeline();
-  const std::vector<cc::Phase> phases = cc::detect_phases(windows, 0.75, cc::PhaseMetric::kOffsetCosine);
+  const std::vector<cc::Phase> phases = cc::detect_phases(windows, 0.75);
 
   std::cout << "Captured " << windows.size() << " communication windows, "
             << phases.size() << " phases detected\n\n";

@@ -17,6 +17,7 @@ const char* to_string(EpochSeal reason) noexcept {
     case EpochSeal::kCheckpoint: return "checkpoint";
     case EpochSeal::kFinalize: return "finalize";
     case EpochSeal::kReplay: return "replay";
+    case EpochSeal::kBytes: return "bytes";
   }
   return "?";
 }
@@ -24,7 +25,8 @@ const char* to_string(EpochSeal reason) noexcept {
 EpochSeal epoch_seal_from_string(const std::string& s) {
   for (const EpochSeal r :
        {EpochSeal::kAccesses, EpochSeal::kBatches, EpochSeal::kTimer,
-        EpochSeal::kCheckpoint, EpochSeal::kFinalize, EpochSeal::kReplay}) {
+        EpochSeal::kCheckpoint, EpochSeal::kFinalize, EpochSeal::kReplay,
+        EpochSeal::kBytes}) {
     if (s == to_string(r)) return r;
   }
   throw std::runtime_error("unknown epoch seal reason '" + s + "'");
@@ -53,6 +55,13 @@ Matrix EpochTimeline::total() const {
   return m;
 }
 
+std::vector<Matrix> EpochTimeline::windows() const {
+  std::vector<Matrix> out;
+  out.reserve(epochs.size());
+  for (const EpochSample& e : epochs) out.push_back(e.dense(threads));
+  return out;
+}
+
 std::string EpochTimeline::label_of(std::uint32_t loop) const {
   if (loop == instrument::kNoLoop) return "<root>";
   for (const auto& [id, label] : loop_labels) {
@@ -60,8 +69,6 @@ std::string EpochTimeline::label_of(std::uint32_t loop) const {
   }
   return "loop#" + std::to_string(loop);
 }
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 namespace {
 
@@ -89,8 +96,9 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options,
   gen_ = g_recorder_gen.fetch_add(1, std::memory_order_relaxed) + 1;
   // Coalescing stride: never wider than 1/16th of the access granularity, so
   // every_accesses <= 16 counts exactly (the trigger-precision tests) while
-  // coarse real-run settings get the full contention reduction. Batch- or
-  // timer-only recorders have no access trigger to blur; use the full width.
+  // coarse real-run settings get the full contention reduction. Batch-,
+  // timer- or bytes-only recorders have no access trigger to blur; use the
+  // full width.
   stride_ = kMaxCountStride;
   if (options_.every_accesses != 0) {
     stride_ = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
@@ -145,13 +153,17 @@ void FlightRecorder::add(int producer, int consumer, std::uint64_t bytes,
   window_cells_[idx] += bytes;
   window_bytes_ += bytes;
   ++window_deps_;
-  for (EpochLoopShare& share : window_loops_) {
-    if (share.loop == loop) {
-      share.bytes += bytes;
-      return;
-    }
+  auto share = std::find_if(
+      window_loops_.begin(), window_loops_.end(),
+      [loop](const EpochLoopShare& s) { return s.loop == loop; });
+  if (share != window_loops_.end()) {
+    share->bytes += bytes;
+  } else {
+    window_loops_.push_back(EpochLoopShare{loop, bytes});
   }
-  window_loops_.push_back(EpochLoopShare{loop, bytes});
+  if (options_.every_bytes != 0 && window_bytes_ >= options_.every_bytes) {
+    seal_locked(EpochSeal::kBytes);
+  }
 }
 
 void FlightRecorder::seal(EpochSeal reason) noexcept {
@@ -307,7 +319,5 @@ EpochTimeline FlightRecorder::timeline() const {
   }
   return t;
 }
-
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::core

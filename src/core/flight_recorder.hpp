@@ -10,11 +10,14 @@
 // when full, the oldest epoch is overwritten and the loss is counted, so an
 // always-on recorder is safe on an unbounded run.
 //
-// Epoch boundaries are configurable via ProfilerOptions: every N access
-// events, every K drained micro-batches, every T milliseconds — plus forced
-// boundaries at GuardedSink checkpoints and finalize(), which also persist
-// the ring to a sidecar file so epochs survive crashes alongside the
-// checkpoint itself.
+// It is the profiler's only time-slicer. Epoch boundaries are configurable
+// via ProfilerOptions: every N access events, every K drained micro-batches,
+// every T milliseconds, every B communicated bytes (the phase windows of
+// Section V.A.4, `phase_window_bytes`) — plus forced boundaries at
+// GuardedSink checkpoints and finalize(), which also persist the ring to a
+// sidecar file so epochs survive crashes alongside the checkpoint itself.
+// Phase detection (core/phase.hpp) and the DVFS advisor segment the
+// surviving epochs, whichever trigger cut them.
 //
 // Cost model mirrors the tracer:
 //   * Disabled (all triggers zero, the default): enabled() is one branch on
@@ -24,11 +27,10 @@
 //     epoch granularity, so fine-grained triggers stay exact while coarse
 //     ones avoid cache-line ping-pong between counting threads); add()
 //     (dependencies only — orders of magnitude rarer than accesses) takes
-//     the same mutex PhaseTracker takes.
-//   * -DCOMMSCOPE_TELEMETRY=OFF: the recording API compiles to the same
-//     no-op shape as the tracer; only the offline data model and IO remain.
+//     one mutex, under which the bytes trigger is checked too.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,6 +52,7 @@ enum class EpochSeal : std::uint8_t {
   kCheckpoint,  ///< GuardedSink checkpoint boundary
   kFinalize,    ///< end of run
   kReplay,      ///< fixed-count re-slice of an existing trace
+  kBytes,       ///< the every-B-communicated-bytes (phase window) trigger fired
 };
 
 [[nodiscard]] const char* to_string(EpochSeal reason) noexcept;
@@ -112,6 +115,9 @@ struct EpochTimeline {
   [[nodiscard]] Matrix total() const;
   /// Label for `loop`, falling back to "loop#<id>" / "<root>".
   [[nodiscard]] std::string label_of(std::uint32_t loop) const;
+  /// One dense delta matrix per surviving epoch, oldest first — the window
+  /// sequence detect_phases() segments.
+  [[nodiscard]] std::vector<Matrix> windows() const;
 };
 
 /// Recorder configuration (lifted from ProfilerOptions by the profiler).
@@ -120,6 +126,7 @@ struct FlightRecorderOptions {
   std::uint64_t every_accesses = 0;  ///< seal every N access events; 0 = off
   std::uint32_t every_batches = 0;   ///< seal every K drained batches; 0 = off
   std::uint32_t every_millis = 0;    ///< seal every T milliseconds; 0 = off
+  std::uint64_t every_bytes = 0;     ///< seal every B comm. bytes; 0 = off
   std::uint32_t capacity = 0;        ///< ring size; 0 = default when enabled
   /// Re-slice mode (`commscope replay --epochs=N`): access-trigger seals are
   /// stamped kReplay so a re-sliced timeline is distinguishable from a live
@@ -132,7 +139,8 @@ struct FlightRecorderOptions {
   telemetry::PerfCounters* perf = nullptr;
 
   [[nodiscard]] bool enabled() const noexcept {
-    return every_accesses != 0 || every_batches != 0 || every_millis != 0;
+    return every_accesses != 0 || every_batches != 0 || every_millis != 0 ||
+           every_bytes != 0;
   }
 };
 
@@ -140,8 +148,6 @@ struct FlightRecorderOptions {
 inline constexpr std::uint32_t kDefaultEpochRing = 512;
 /// Hard ring ceiling (the recorder is bounded by contract).
 inline constexpr std::uint32_t kMaxEpochRing = 1u << 20;
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 class FlightRecorder {
  public:
@@ -191,7 +197,9 @@ class FlightRecorder {
   }
 
   /// Feeds one detected dependency attributed to `loop` on the consumer
-  /// side. Thread-safe (mutex, like PhaseTracker::add).
+  /// side and seals when the bytes trigger is due — on the dependency that
+  /// fills the window, which therefore belongs to the sealed epoch.
+  /// Thread-safe (one mutex).
   void add(int producer, int consumer, std::uint64_t bytes,
            instrument::LoopId loop) noexcept;
 
@@ -257,25 +265,5 @@ class FlightRecorder {
   std::size_t ring_head_ = 0;          ///< next slot to write
   std::size_t ring_kept_ = 0;
 };
-
-#else  // COMMSCOPE_TELEMETRY_DISABLED: recording compiles away entirely —
-       // no ring, no window matrix, no atomics; only the offline data model
-       // above (and epoch_io) remains available.
-
-class FlightRecorder {
- public:
-  explicit FlightRecorder(FlightRecorderOptions,
-                          support::MemoryTracker* = nullptr) noexcept {}
-  [[nodiscard]] bool enabled() const noexcept { return false; }
-  void count_access() noexcept {}
-  void count_batch() noexcept {}
-  void add(int, int, std::uint64_t, instrument::LoopId) noexcept {}
-  void flush(EpochSeal) noexcept {}
-  [[nodiscard]] std::uint64_t epochs_sealed() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t epochs_dropped() const noexcept { return 0; }
-  [[nodiscard]] EpochTimeline timeline() const { return {}; }
-};
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::core

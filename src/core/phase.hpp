@@ -1,4 +1,4 @@
-// Dynamic-behaviour (phase) tracking.
+// Dynamic-behaviour (phase) detection.
 //
 // Section V.A.4: "applications may transition into different phases of
 // computation at runtime ... A useful mechanism should be able to detect
@@ -6,16 +6,14 @@
 // produce one static whole-program pattern get multi-phase programs wrong;
 // DiscoPoP "fully supports this feature".
 //
-// PhaseTracker slices the dependency stream into fixed-communication-volume
-// windows: each window accumulates its own delta matrix; when the window
-// fills, the delta is snapshotted onto a timeline. detect_phases() then
-// merges consecutive windows whose matrices are cosine-similar, yielding the
-// program's communication phases and their transition points.
+// The flight recorder slices the dependency stream into epochs (with
+// ProfilerOptions::phase_window_bytes, one per fixed communication volume);
+// detect_phases() merges consecutive windows whose patterns are
+// cosine-similar, yielding the program's communication phases and their
+// transition points.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <mutex>
+#include <cstddef>
 #include <vector>
 
 #include "core/comm_matrix.hpp"
@@ -29,72 +27,20 @@ struct Phase {
   Matrix pattern;               ///< summed matrix over the run
 };
 
-class PhaseTracker {
- public:
-  /// `threads`: matrix dimension. `window_bytes`: communication volume per
-  /// window; 0 disables tracking entirely (zero overhead on the hot path
-  /// beyond one predictable branch).
-  PhaseTracker(int threads, std::uint64_t window_bytes);
-
-  [[nodiscard]] bool enabled() const noexcept { return window_bytes_ > 0; }
-
-  /// Feeds one detected dependency. Thread-safe.
-  void add(int producer, int consumer, std::uint64_t bytes);
-
-  /// Counts one raw memory access (communicating or not); gives each window
-  /// a denominator for communication *intensity* (bytes per access), the
-  /// quantity the DVFS advisor uses to find communication-bound phases.
-  void count_access() noexcept {
-    if (enabled()) accesses_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Flushes the current partial window onto the timeline.
-  void flush();
-
-  /// Windows snapshotted so far (flush() first for the tail).
-  [[nodiscard]] std::vector<Matrix> timeline() const;
-
-  /// Raw-access count per window, index-aligned with timeline().
-  [[nodiscard]] std::vector<std::uint64_t> window_accesses() const;
-
- private:
-  int threads_;
-  std::uint64_t window_bytes_;
-  std::atomic<std::uint64_t> accesses_{0};
-  mutable std::mutex mu_;
-  Matrix current_;
-  std::uint64_t current_volume_ = 0;
-  std::uint64_t accesses_at_window_start_ = 0;
-  std::vector<Matrix> windows_;
-  std::vector<std::uint64_t> window_accesses_;
-};
-
-/// Window-comparison metric for phase segmentation.
-enum class PhaseMetric {
-  /// Cosine over the full normalized matrix. Most precise, but sensitive to
-  /// which threads happened to run inside a window: under coarse scheduling
-  /// (few cores, many threads) two windows of the same program phase can
-  /// contain disjoint consumer sets and appear orthogonal.
-  kMatrixCosine,
-  /// Cosine over the producer-consumer *offset histogram* (mass by
-  /// consumer-producer distance). Translation-invariant in thread id, so a
-  /// halo exchange looks like "±1 traffic" and an all-to-all like "uniform
-  /// offsets" no matter which threads a window sampled — the
-  /// scheduling-robust choice for timeline segmentation.
-  kOffsetCosine,
-};
-
 /// Circular offset histogram of a matrix: entry d holds the total mass at
 /// consumer-producer offset (c - p) mod n, for d in [0, n). Circular so a
 /// single-consumer window covers the same bins regardless of which consumer
 /// it sampled; entry 0 is always zero (no self-communication).
 [[nodiscard]] std::vector<double> offset_signature(const Matrix& m);
 
-/// Segments a window timeline into phases: consecutive windows whose
-/// signatures (per `metric`) have cosine similarity >= `threshold` belong to
-/// the same phase.
+/// Segments a window timeline into phases: consecutive windows whose offset
+/// signatures have cosine similarity >= `threshold` belong to the same
+/// phase. The offset histogram is translation-invariant in thread id, so a
+/// halo exchange looks like "±1 traffic" and an all-to-all like "uniform
+/// offsets" no matter which threads a window sampled — under coarse
+/// scheduling (few cores, many threads) two windows of one phase can contain
+/// disjoint consumer sets and still segment together.
 [[nodiscard]] std::vector<Phase> detect_phases(
-    const std::vector<Matrix>& windows, double threshold = 0.8,
-    PhaseMetric metric = PhaseMetric::kMatrixCosine);
+    const std::vector<Matrix>& windows, double threshold = 0.8);
 
 }  // namespace commscope::core

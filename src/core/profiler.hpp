@@ -6,7 +6,7 @@
 //   * the whole-program communication matrix,
 //   * the nested per-loop matrices (Figures 6/7),
 //   * the thread-load metric (Eq. 1, Figure 8),
-//   * the phase timeline (dynamic behaviour, Section V.A.4),
+//   * the epoch / phase timeline (dynamic behaviour, Section V.A.4),
 //   * its own exact memory footprint (Figure 5) and event statistics.
 //
 // The detection backend is selectable: the bounded asymmetric signature
@@ -24,7 +24,6 @@
 
 #include "core/comm_matrix.hpp"
 #include "core/flight_recorder.hpp"
-#include "core/phase.hpp"
 #include "core/raw_detector.hpp"
 #include "core/region_tree.hpp"
 #include "instrument/sink.hpp"
@@ -51,7 +50,9 @@ struct ProfilerOptions {
   /// Bloom-filter false-positive target (paper: 0.001).
   double fp_rate = 0.001;
   Backend backend = Backend::kAsymmetricSignature;
-  /// Phase-window volume in communicated bytes; 0 disables phase tracking.
+  /// Phase-window volume in communicated bytes: arms the flight recorder's
+  /// bytes trigger, sealing an epoch each time this much communication has
+  /// accumulated (see phase_timeline()). 0 = off.
   std::uint64_t phase_window_bytes = 0;
   /// Also classify WAR/WAW/RAR dependencies (the full DiscoPoP dependence
   /// set, Section III.B). Exact with the exact backend; approximate with the
@@ -74,11 +75,12 @@ struct ProfilerOptions {
   /// unbatched path because events stay in per-thread issue order.
   std::uint32_t batch_size = 0;
   /// Flight-recorder epoch triggers (time-resolved communication). All zero
-  /// (the default) disables the recorder entirely — no ring, no window
-  /// matrix, zero hot-path cost beyond one predicted branch. Any nonzero
-  /// trigger arms it: an epoch seals every `epoch_accesses` raw accesses,
-  /// every `epoch_batches` drained micro-batches, and/or every
-  /// `epoch_millis` milliseconds, whichever fires first.
+  /// (the default, with phase_window_bytes also zero) disables the recorder
+  /// entirely — no ring, no window matrix, zero hot-path cost beyond one
+  /// predicted branch. Any nonzero trigger arms it: an epoch seals every
+  /// `epoch_accesses` raw accesses, every `epoch_batches` drained
+  /// micro-batches, every `epoch_millis` milliseconds and/or every
+  /// `phase_window_bytes` communicated bytes, whichever fires first.
   std::uint64_t epoch_accesses = 0;
   std::uint32_t epoch_batches = 0;
   std::uint32_t epoch_millis = 0;
@@ -175,19 +177,16 @@ class Profiler final : public instrument::AccessSink {
 
   [[nodiscard]] const RegionTree& regions() const noexcept { return tree_; }
 
-  /// Phase timeline (empty unless phase_window_bytes was set).
+  /// Phase timeline: one dense delta matrix per surviving epoch, cut by
+  /// every armed trigger (phase_window_bytes among them), oldest first.
+  /// Empty when the recorder is off; detect_phases() segments it.
   [[nodiscard]] std::vector<Matrix> phase_timeline() const {
-    return phases_.timeline();
+    return epoch_timeline().windows();
   }
 
-  /// Raw-access counts per phase window, aligned with phase_timeline().
-  [[nodiscard]] std::vector<std::uint64_t> phase_window_accesses() const {
-    return phases_.window_accesses();
-  }
-
-  /// The epoch flight recorder (a disabled stub unless an epoch_* trigger
-  /// was set). GuardedSink uses the mutable handle to force checkpoint
-  /// boundaries and persist the ring.
+  /// The epoch flight recorder (disabled unless an epoch_* trigger or
+  /// phase_window_bytes was set). GuardedSink uses the mutable handle to
+  /// force checkpoint boundaries and persist the ring.
   [[nodiscard]] const FlightRecorder& recorder() const noexcept {
     return recorder_;
   }
@@ -308,7 +307,6 @@ class Profiler final : public instrument::AccessSink {
   support::MemoryTracker memory_;
   std::variant<AsymmetricDetector, sigmem::ExactSignature> backend_;
   RegionTree tree_;
-  PhaseTracker phases_;
   // Declared before recorder_: the recorder's options capture perf_.get(),
   // so the engine must outlive (and be constructed before) the recorder.
   std::unique_ptr<telemetry::PerfCounters> perf_;

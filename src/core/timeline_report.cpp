@@ -64,15 +64,6 @@ std::vector<std::pair<std::string, std::uint64_t>> loop_totals(
   return out;
 }
 
-std::vector<Phase> timeline_phases(const EpochTimeline& t) {
-  std::vector<Matrix> windows;
-  windows.reserve(t.epochs.size());
-  for (const EpochSample& e : t.epochs) windows.push_back(e.dense(t.threads));
-  // Offset-cosine: translation-invariant in thread id, the robust choice
-  // when consecutive epochs sample different scheduler placements.
-  return detect_phases(windows, 0.8, PhaseMetric::kOffsetCosine);
-}
-
 /// Overhead-relevant metric names for the report footer. perf.* rides along
 /// so counter provenance (opened/unavailable/multiplexed) and run totals are
 /// visible next to the numbers they qualify.
@@ -174,7 +165,7 @@ void write_model_json(std::ostream& os, const ReportModel& model) {
     os << "}";
   }
   os << "],\"phases\":[";
-  const std::vector<Phase> phases = timeline_phases(t);
+  const std::vector<Phase> phases = detect_phases(t.windows());
   for (std::size_t i = 0; i < phases.size(); ++i) {
     if (i != 0) os << ",";
     os << "{\"first\":" << phases[i].first_window
@@ -280,7 +271,7 @@ void render_text(std::ostream& os, const ReportModel& model) {
     os << "\n";
   }
 
-  const std::vector<Phase> phases = timeline_phases(t);
+  const std::vector<Phase> phases = detect_phases(t.windows());
   os << "\nphases (offset-cosine >= 0.80): " << phases.size() << "\n";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const Phase& p = phases[i];

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/phase.hpp"
+
 namespace commscope::power {
 
 namespace {
@@ -15,12 +17,8 @@ double time_at(double work, double boundness, double ghz, double top_ghz) {
 
 }  // namespace
 
-DvfsPlan plan_dvfs(const std::vector<core::Matrix>& windows,
-                   const std::vector<std::uint64_t>& accesses,
+DvfsPlan plan_dvfs(const core::EpochTimeline& timeline,
                    const DvfsOptions& options) {
-  if (windows.size() != accesses.size()) {
-    throw std::invalid_argument("plan_dvfs: windows/accesses size mismatch");
-  }
   if (options.levels.empty()) {
     throw std::invalid_argument("plan_dvfs: need at least one level");
   }
@@ -28,7 +26,7 @@ DvfsPlan plan_dvfs(const std::vector<core::Matrix>& windows,
 
   DvfsPlan plan;
   const std::vector<core::Phase> phases =
-      core::detect_phases(windows, 0.75, core::PhaseMetric::kOffsetCosine);
+      core::detect_phases(timeline.windows(), 0.75);
 
   double baseline_time = 0.0;
   double planned_time = 0.0;
@@ -39,7 +37,8 @@ DvfsPlan plan_dvfs(const std::vector<core::Matrix>& windows,
 
     std::uint64_t phase_accesses = 0;
     for (std::size_t w = ph.first_window; w <= ph.last_window; ++w) {
-      phase_accesses += accesses[w];
+      const core::EpochSample& e = timeline.epochs[w];
+      phase_accesses += e.last_access - e.first_access;
     }
     pp.work = static_cast<double>(std::max<std::uint64_t>(1, phase_accesses));
     pp.intensity =

@@ -3,13 +3,13 @@
 //
 // Section III.A: "Detecting automatically a communication phase allows for
 // decreasing frequency and voltage of the processor which leads to reducing
-// power consumption by 30%" (citing Da Costa & Pierson). CommScope's phase
-// timeline carries exactly the needed signal: per window, the communicated
-// bytes (fixed by construction) and the raw access count, whose ratio is the
-// communication *intensity*. Communication-bound windows gain little from
-// high clocks (they wait on the memory system), so the advisor plans a lower
-// frequency level for them under a user-set slowdown budget and reports the
-// projected energy saving of the plan.
+// power consumption by 30%" (citing Da Costa & Pierson). CommScope's epoch
+// timeline carries exactly the needed signal: per epoch, the communicated
+// bytes and the raw access count (last_access - first_access), whose ratio
+// is the communication *intensity*. Communication-bound windows gain little
+// from high clocks (they wait on the memory system), so the advisor plans a
+// lower frequency level for them under a user-set slowdown budget and
+// reports the projected energy saving of the plan.
 //
 // The performance/power model is the standard first-order DVFS model:
 //   time(f)  = work * (b + (1 - b) * f_max / f)   with boundness b in [0,1]
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/phase.hpp"
+#include "core/flight_recorder.hpp"
 
 namespace commscope::power {
 
@@ -65,12 +65,12 @@ struct DvfsPlan {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Builds a frequency plan for a phase-segmented timeline. `windows` and
-/// `accesses` come from Profiler::phase_timeline() /
-/// phase_window_accesses(); phases are segmented internally with the
-/// scheduling-robust offset metric.
-[[nodiscard]] DvfsPlan plan_dvfs(const std::vector<core::Matrix>& windows,
-                                 const std::vector<std::uint64_t>& accesses,
+/// Builds a frequency plan for an epoch timeline (Profiler::epoch_timeline(),
+/// typically cut by phase_window_bytes). Epochs are the windows; phases are
+/// segmented internally with detect_phases(). Per-epoch access counts are
+/// exact only to within the recorder's coalescing stride x threads (see
+/// FlightRecorder::count_access), which bounds the intensity error.
+[[nodiscard]] DvfsPlan plan_dvfs(const core::EpochTimeline& timeline,
                                  const DvfsOptions& options = {});
 
 }  // namespace commscope::power

@@ -6,8 +6,9 @@
 //
 //  * batched vs unbatched SIGNATURE runs must be bit-identical — same
 //    whole-program matrix, same per-region direct matrices in preorder, same
-//    stats, same phase timeline. The batch layer is a pure relayout of the
-//    ingest loop, so any divergence is a bug, not noise.
+//    stats, same phase/epoch timeline. The batch layer is a pure relayout of
+//    the ingest loop, so any divergence is a bug, not noise. Phase windows
+//    on vs off must not move the matrices or the region tree either.
 //  * the same holds for the EXACT backend and for the classified-dependence
 //    path (which drain through the generic ingest_one path).
 //  * signature vs exact FPR must stay inside the Eq. 2 envelope (see the
@@ -160,13 +161,29 @@ cc::ProfilerOptions base_options(cc::Backend backend, int threads) {
   return o;
 }
 
+/// Asserts the matrices and the region tree of two runs agree — the outputs
+/// that neither batching nor phase windows may perturb.
+void expect_same_matrices(const cc::Profiler& want, const cc::Profiler& got) {
+  EXPECT_TRUE(want.communication_matrix() == got.communication_matrix())
+      << "whole-program matrix diverged";
+  const auto wn = want.regions().preorder();
+  const auto gn = got.regions().preorder();
+  ASSERT_EQ(wn.size(), gn.size()) << "region tree shape diverged";
+  for (std::size_t i = 0; i < wn.size(); ++i) {
+    EXPECT_EQ(wn[i]->loop(), gn[i]->loop()) << "node " << i;
+    EXPECT_EQ(wn[i]->entries(), gn[i]->entries()) << "node " << i;
+    EXPECT_TRUE(wn[i]->direct() == gn[i]->direct())
+        << "per-region matrix diverged at preorder node " << i << " ("
+        << wn[i]->label() << ")";
+  }
+}
+
 /// Asserts every observable output of `got` equals `want`, cell for cell and
 /// node for node.
 void expect_identical(const cc::Profiler& want, const cc::Profiler& got,
                       const std::string& context) {
   SCOPED_TRACE(context);
-  EXPECT_TRUE(want.communication_matrix() == got.communication_matrix())
-      << "whole-program matrix diverged";
+  expect_same_matrices(want, got);
 
   const auto ws = want.stats();
   const auto gs = got.stats();
@@ -183,24 +200,15 @@ void expect_identical(const cc::Profiler& want, const cc::Profiler& got,
   EXPECT_EQ(wd.waw, gd.waw);
   EXPECT_EQ(wd.rar, gd.rar);
 
-  const auto wn = want.regions().preorder();
-  const auto gn = got.regions().preorder();
-  ASSERT_EQ(wn.size(), gn.size()) << "region tree shape diverged";
-  for (std::size_t i = 0; i < wn.size(); ++i) {
-    EXPECT_EQ(wn[i]->loop(), gn[i]->loop()) << "node " << i;
-    EXPECT_EQ(wn[i]->entries(), gn[i]->entries()) << "node " << i;
-    EXPECT_TRUE(wn[i]->direct() == gn[i]->direct())
-        << "per-region matrix diverged at preorder node " << i << " ("
-        << wn[i]->label() << ")";
-  }
-
   const auto wp = want.phase_timeline();
   const auto gp = got.phase_timeline();
   ASSERT_EQ(wp.size(), gp.size()) << "phase timeline length diverged";
   for (std::size_t i = 0; i < wp.size(); ++i) {
     EXPECT_TRUE(wp[i] == gp[i]) << "phase window " << i;
   }
-  EXPECT_EQ(want.phase_window_accesses(), got.phase_window_accesses());
+  // Window access spans and seal reasons ride along in the epochs.
+  EXPECT_TRUE(want.epoch_timeline().epochs == got.epoch_timeline().epochs)
+      << "epoch timeline diverged";
 }
 
 std::string case_name(std::uint64_t seed, int threads, std::uint32_t batch) {
@@ -218,23 +226,43 @@ TEST(Differential, BatchedSignatureBitIdenticalAcrossBatchSizes) {
       {101, 2}, {202, 4}, {303, 8}, {404, 4},
   };
   const std::uint32_t batches[] = {1, 2, 7, 64, 256};
+  std::uint64_t bytes_seals = 0;
   for (const auto& g : grid) {
     TraceShape shape;
     shape.threads = g.threads;
     const auto ops = make_trace(g.seed, shape);
-    const auto baseline =
-        replay(ops, base_options(cc::Backend::kAsymmetricSignature, g.threads));
-    // The identity check must not pass vacuously: every generated trace has
-    // to exercise cross-thread RAW detection and nested-region attribution.
-    ASSERT_GT(baseline->stats().dependencies, 0u);
-    ASSERT_GT(baseline->regions().node_count(), 1u);
-    for (const std::uint32_t b : batches) {
-      auto o = base_options(cc::Backend::kAsymmetricSignature, g.threads);
-      o.batch_size = b;
-      expect_identical(*baseline, *replay(ops, o),
-                       case_name(g.seed, g.threads, b));
+    // Phases axis: 0 leaves the recorder off, 4096 arms its bytes trigger.
+    std::unique_ptr<cc::Profiler> phases_off;
+    for (const std::uint64_t phase_bytes : {0u, 4096u}) {
+      auto base = base_options(cc::Backend::kAsymmetricSignature, g.threads);
+      base.phase_window_bytes = phase_bytes;
+      auto baseline = replay(ops, base);
+      // The identity check must not pass vacuously: every generated trace
+      // has to exercise cross-thread RAW detection and nested-region
+      // attribution, and the phases-on run has to record windows.
+      ASSERT_GT(baseline->stats().dependencies, 0u);
+      ASSERT_GT(baseline->regions().node_count(), 1u);
+      ASSERT_EQ(baseline->phase_timeline().empty(), phase_bytes == 0);
+      for (const cc::EpochSample& e : baseline->epoch_timeline().epochs) {
+        if (e.reason == cc::EpochSeal::kBytes) ++bytes_seals;
+      }
+      const std::string axis =
+          " phase_window_bytes=" + std::to_string(phase_bytes);
+      for (const std::uint32_t b : batches) {
+        auto o = base;
+        o.batch_size = b;
+        expect_identical(*baseline, *replay(ops, o),
+                         case_name(g.seed, g.threads, b) + axis);
+      }
+      if (phases_off == nullptr) {
+        phases_off = std::move(baseline);
+      } else {
+        SCOPED_TRACE(case_name(g.seed, g.threads, 0) + " phases off vs on");
+        expect_same_matrices(*phases_off, *baseline);
+      }
     }
   }
+  EXPECT_GT(bytes_seals, 0u) << "no bytes seal fired; phases axis vacuous";
 }
 
 TEST(Differential, BatchedExactBackendBitIdentical) {
@@ -282,7 +310,6 @@ TEST(Differential, SparseRegionMatricesBitIdentical) {
 }
 
 // --- flight-recorder differential (label: recorder) ------------------------
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 // The epoch timeline is a sparse re-encoding of the same dependency stream
 // the whole-program matrix accumulates: with nothing overwritten out of the
@@ -330,8 +357,6 @@ TEST(Differential, EpochTimelineBitIdenticalAcrossBatchSizes) {
     }
   }
 }
-
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
 
 // --- cross-ISA determinism (label: differential) ----------------------------
 //

@@ -13,34 +13,51 @@ namespace cpw = commscope::power;
 
 namespace {
 
+/// Appends one epoch carrying `m` and spanning `accesses` raw accesses.
+void add_epoch(cc::EpochTimeline& t, const cc::Matrix& m,
+               std::uint64_t accesses) {
+  cc::EpochSample e;
+  e.index = t.epochs.size();
+  e.first_access = t.epochs.empty() ? 0 : t.epochs.back().last_access;
+  e.last_access = e.first_access + accesses;
+  e.reason = cc::EpochSeal::kBytes;
+  for (int p = 0; p < m.size(); ++p) {
+    for (int c = 0; c < m.size(); ++c) {
+      if (m.at(p, c) == 0) continue;
+      e.cells.push_back(cc::EpochCell{static_cast<std::uint16_t>(p),
+                                      static_cast<std::uint16_t>(c),
+                                      m.at(p, c)});
+      e.bytes += m.at(p, c);
+    }
+  }
+  t.epochs.push_back(std::move(e));
+  t.sealed = t.epochs.size();
+}
+
 /// Builds a synthetic timeline: `comm_windows` fully-communication-bound
-/// windows (few accesses per byte) followed by `compute_windows` nearly
-/// communication-free windows (many accesses per byte), with orthogonal
+/// epochs (few accesses per byte) followed by `compute_windows` nearly
+/// communication-free epochs (many accesses per byte), with orthogonal
 /// patterns so they segment into two phases.
-void make_timeline(int comm_windows, int compute_windows,
-                   std::vector<cc::Matrix>& windows,
-                   std::vector<std::uint64_t>& accesses) {
+cc::EpochTimeline make_timeline(int comm_windows, int compute_windows) {
+  cc::EpochTimeline t;
+  t.threads = 4;
   for (int w = 0; w < comm_windows; ++w) {
     cc::Matrix m(4);
     for (int p = 0; p < 4; ++p) m.at(p, (p + 1) % 4) = 4096;  // ring
-    windows.push_back(m);
-    accesses.push_back(4096);  // ~4 bytes per access: heavily bound
+    add_epoch(t, m, 4096);  // ~4 bytes per access: heavily bound
   }
   for (int w = 0; w < compute_windows; ++w) {
     cc::Matrix m(4);
     for (int p = 0; p < 4; ++p) m.at(p, (p + 2) % 4) = 4096;  // offset-2 ring
-    windows.push_back(m);
-    accesses.push_back(4'000'000);  // ~0.004 B/access: compute-bound
+    add_epoch(t, m, 4'000'000);  // ~0.004 B/access: compute-bound
   }
+  return t;
 }
 
 }  // namespace
 
 TEST(DvfsPlan, CommPhasesDownclockComputePhasesDoNot) {
-  std::vector<cc::Matrix> windows;
-  std::vector<std::uint64_t> accesses;
-  make_timeline(3, 3, windows, accesses);
-  const cpw::DvfsPlan plan = cpw::plan_dvfs(windows, accesses);
+  const cpw::DvfsPlan plan = cpw::plan_dvfs(make_timeline(3, 3));
   ASSERT_EQ(plan.phases.size(), 2u);
   const cpw::PhasePlan& comm = plan.phases[0];
   const cpw::PhasePlan& compute = plan.phases[1];
@@ -53,12 +70,9 @@ TEST(DvfsPlan, CommPhasesDownclockComputePhasesDoNot) {
 }
 
 TEST(DvfsPlan, SavingPositiveAndSlowdownWithinBudget) {
-  std::vector<cc::Matrix> windows;
-  std::vector<std::uint64_t> accesses;
-  make_timeline(4, 2, windows, accesses);
   cpw::DvfsOptions opts;
   opts.max_slowdown = 1.10;
-  const cpw::DvfsPlan plan = cpw::plan_dvfs(windows, accesses, opts);
+  const cpw::DvfsPlan plan = cpw::plan_dvfs(make_timeline(4, 2), opts);
   EXPECT_GT(plan.saving_fraction, 0.0);
   EXPECT_LE(plan.overall_slowdown, opts.max_slowdown + 1e-9);
   for (const cpw::PhasePlan& pp : plan.phases) {
@@ -72,42 +86,40 @@ TEST(DvfsPlan, FullyCommBoundTimelineApproachesPowerRatioSaving) {
   // level with no slowdown; the saving equals 1 - watts_low/watts_high
   // (~52% with the default table), comfortably covering the paper's quoted
   // 30% for communication phases.
-  std::vector<cc::Matrix> windows;
-  std::vector<std::uint64_t> accesses;
-  make_timeline(5, 0, windows, accesses);
-  const cpw::DvfsPlan plan = cpw::plan_dvfs(windows, accesses);
+  const cpw::DvfsPlan plan = cpw::plan_dvfs(make_timeline(5, 0));
   EXPECT_NEAR(plan.saving_fraction, 1.0 - 62.0 / 130.0, 1e-9);
   EXPECT_NEAR(plan.overall_slowdown, 1.0, 1e-9);
   EXPECT_GE(plan.saving_fraction, 0.30);
 }
 
 TEST(DvfsPlan, TightBudgetKeepsComputePhasesFast) {
-  std::vector<cc::Matrix> windows;
-  std::vector<std::uint64_t> accesses;
-  make_timeline(0, 3, windows, accesses);
   cpw::DvfsOptions opts;
   opts.max_slowdown = 1.01;  // compute phases cannot afford any downclock
-  const cpw::DvfsPlan plan = cpw::plan_dvfs(windows, accesses, opts);
+  const cpw::DvfsPlan plan = cpw::plan_dvfs(make_timeline(0, 3), opts);
   EXPECT_NEAR(plan.saving_fraction, 0.0, 1e-9);
   for (const cpw::PhasePlan& pp : plan.phases) {
     EXPECT_DOUBLE_EQ(pp.chosen.ghz, 2.7);
   }
 }
 
-TEST(DvfsPlan, RejectsMalformedInput) {
-  std::vector<cc::Matrix> windows(2, cc::Matrix(4));
-  std::vector<std::uint64_t> accesses(1, 10);
-  EXPECT_THROW(cpw::plan_dvfs(windows, accesses), std::invalid_argument);
-  accesses.push_back(10);
+TEST(DvfsPlan, RejectsEmptyLevelTable) {
   cpw::DvfsOptions no_levels;
   no_levels.levels.clear();
-  EXPECT_THROW(cpw::plan_dvfs(windows, accesses, no_levels),
+  EXPECT_THROW((void)cpw::plan_dvfs(make_timeline(2, 0), no_levels),
                std::invalid_argument);
 }
 
+TEST(DvfsPlan, IntensityReadsEpochAccessSpans) {
+  // One communication-bound epoch: 4 x 4096 bytes over 4096 accesses.
+  const cpw::DvfsPlan plan = cpw::plan_dvfs(make_timeline(1, 0));
+  ASSERT_EQ(plan.phases.size(), 1u);
+  EXPECT_DOUBLE_EQ(plan.phases[0].work, 4096.0);
+  EXPECT_DOUBLE_EQ(plan.phases[0].intensity, 4.0);
+}
+
 TEST(DvfsPlan, EndToEndFromProfilerTimeline) {
-  // Real pipeline: profile a two-phase synthetic program, feed its timeline
-  // and access counts straight into the advisor.
+  // Real pipeline: profile a two-phase synthetic program, feed its epoch
+  // timeline (cut by the bytes trigger) straight into the advisor.
   cc::ProfilerOptions o;
   o.max_threads = 4;
   o.backend = cc::Backend::kExact;
@@ -135,11 +147,9 @@ TEST(DvfsPlan, EndToEndFromProfilerTimeline) {
   }
   prof->finalize();
 
-  const auto windows = prof->phase_timeline();
-  const auto accesses = prof->phase_window_accesses();
-  ASSERT_EQ(windows.size(), accesses.size());
-  ASSERT_GE(windows.size(), 2u);
-  const cpw::DvfsPlan plan = cpw::plan_dvfs(windows, accesses);
+  const cc::EpochTimeline timeline = prof->epoch_timeline();
+  ASSERT_GE(timeline.epochs.size(), 2u);
+  const cpw::DvfsPlan plan = cpw::plan_dvfs(timeline);
   ASSERT_GE(plan.phases.size(), 2u);
   // The first phase (dense handoffs) must be judged more communication-bound
   // than the last (compute-dominated) one.

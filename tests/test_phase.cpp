@@ -1,35 +1,11 @@
-// Phase-tracker tests: windowing, flushing, similarity-based segmentation.
+// Phase-detection tests: offset signatures and similarity-based
+// segmentation. Windowing itself is the flight recorder's bytes trigger
+// (test_recorder).
 #include <gtest/gtest.h>
 
 #include "core/phase.hpp"
 
 namespace cc = commscope::core;
-
-TEST(PhaseTracker, DisabledTracksNothing) {
-  cc::PhaseTracker tracker(4, 0);
-  EXPECT_FALSE(tracker.enabled());
-  tracker.add(0, 1, 1000);
-  tracker.flush();
-  EXPECT_TRUE(tracker.timeline().empty());
-}
-
-TEST(PhaseTracker, EmitsWindowWhenVolumeFills) {
-  cc::PhaseTracker tracker(4, 100);
-  tracker.add(0, 1, 60);
-  EXPECT_TRUE(tracker.timeline().empty());
-  tracker.add(0, 1, 60);  // crosses 100
-  ASSERT_EQ(tracker.timeline().size(), 1u);
-  EXPECT_EQ(tracker.timeline()[0].at(0, 1), 120u);
-}
-
-TEST(PhaseTracker, FlushEmitsPartialWindowOnce) {
-  cc::PhaseTracker tracker(4, 1000);
-  tracker.add(1, 2, 10);
-  tracker.flush();
-  EXPECT_EQ(tracker.timeline().size(), 1u);
-  tracker.flush();  // idempotent when nothing new arrived
-  EXPECT_EQ(tracker.timeline().size(), 1u);
-}
 
 TEST(DetectPhases, EmptyTimeline) {
   EXPECT_TRUE(cc::detect_phases({}).empty());
@@ -53,12 +29,12 @@ TEST(DetectPhases, OrthogonalPatternsSplit) {
   std::vector<cc::Matrix> windows;
   for (int i = 0; i < 3; ++i) {
     cc::Matrix m(4);
-    m.at(0, 1) = 50;
+    m.at(0, 1) = 50;  // offset +1
     windows.push_back(m);
   }
   for (int i = 0; i < 3; ++i) {
     cc::Matrix m(4);
-    m.at(2, 3) = 50;
+    m.at(1, 3) = 50;  // offset +2
     windows.push_back(m);
   }
   const auto phases = cc::detect_phases(windows, 0.8);
@@ -68,13 +44,13 @@ TEST(DetectPhases, OrthogonalPatternsSplit) {
 }
 
 TEST(DetectPhases, ThresholdControlsMergeAggressiveness) {
-  cc::Matrix a(2);
-  a.at(0, 1) = 100;
-  cc::Matrix mix(2);
+  cc::Matrix a(4);
+  a.at(0, 1) = 100;  // offset +1
+  cc::Matrix mix(4);
   mix.at(0, 1) = 100;
-  mix.at(1, 0) = 60;
+  mix.at(0, 2) = 60;  // offset +2
   const std::vector<cc::Matrix> windows{a, mix};
-  // cos(a, mix) = 100 / sqrt(100^2+60^2) ~ 0.857.
+  // cos(a, mix) = 100 / sqrt(100^2+60^2) ~ 0.857 over the offset histogram.
   EXPECT_EQ(cc::detect_phases(windows, 0.80).size(), 1u);
   EXPECT_EQ(cc::detect_phases(windows, 0.95).size(), 2u);
 }
@@ -95,7 +71,7 @@ TEST(OffsetSignature, CircularBinning) {
 TEST(OffsetSignature, ConsumerTranslationInvariance) {
   // Two windows that sampled different single consumers of an all-to-all
   // phase must have identical offset signatures (the scheduling-robustness
-  // property the kOffsetCosine metric exists for).
+  // property phase detection relies on).
   cc::Matrix w0(8);
   cc::Matrix w5(8);
   for (int p = 0; p < 8; ++p) {
@@ -105,10 +81,9 @@ TEST(OffsetSignature, ConsumerTranslationInvariance) {
   EXPECT_EQ(cc::offset_signature(w0), cc::offset_signature(w5));
 }
 
-TEST(DetectPhases, OffsetMetricMergesConsumerSlices) {
+TEST(DetectPhases, MergesConsumerSlicesAndSplitsHalo) {
   // Timeline: two single-consumer slices of the same all-to-all phase, then
-  // a halo window. Matrix cosine fragments the first two; offset cosine
-  // keeps them in one phase and still splits the halo.
+  // a halo window. The slices share one phase; the halo starts another.
   std::vector<cc::Matrix> windows;
   for (const int consumer : {1, 6}) {
     cc::Matrix w(8);
@@ -124,11 +99,7 @@ TEST(DetectPhases, OffsetMetricMergesConsumerSlices) {
   }
   windows.push_back(halo);
 
-  EXPECT_EQ(cc::detect_phases(windows, 0.75, cc::PhaseMetric::kMatrixCosine)
-                .size(),
-            3u);
-  const auto offset_phases =
-      cc::detect_phases(windows, 0.75, cc::PhaseMetric::kOffsetCosine);
-  ASSERT_EQ(offset_phases.size(), 2u);
-  EXPECT_EQ(offset_phases[0].last_window, 1u);
+  const auto phases = cc::detect_phases(windows, 0.75);
+  ASSERT_EQ(phases.size(), 2u);
+  EXPECT_EQ(phases[0].last_window, 1u);
 }

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "core/phase.hpp"
 #include "core/profiler.hpp"
 #include "core/thread_load.hpp"
 #include "instrument/loop_scope.hpp"
@@ -169,7 +170,7 @@ TEST(Profiler, PhaseTimelineCapturesTransition) {
   prof.on_thread_begin(0);
   prof.on_thread_begin(1);
   prof.on_thread_begin(2);
-  // Phase A: 0 -> 1 traffic; phase B: 0 -> 2 traffic.
+  // Phase A: 0 -> 1 traffic (offset +1); phase B: 0 -> 2 traffic (+2).
   for (int i = 0; i < 100; ++i) {
     const std::uintptr_t addr = 0x300000 + static_cast<std::uintptr_t>(i) * 8;
     prof.on_access(0, addr, 8, ci::AccessKind::kWrite);
@@ -183,6 +184,13 @@ TEST(Profiler, PhaseTimelineCapturesTransition) {
   prof.finalize();
   const std::vector<cc::Matrix> windows = prof.phase_timeline();
   ASSERT_GE(windows.size(), 2u);
+  // phase_window_bytes is the recorder's bytes trigger: 200 deps x 8 B cut
+  // six full 256-byte windows plus the finalize tail.
+  const cc::EpochTimeline t = prof.epoch_timeline();
+  ASSERT_EQ(t.epochs.size(), windows.size());
+  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kBytes);
+  EXPECT_EQ(t.epochs[0].bytes, 256u);
+  EXPECT_EQ(t.epochs.back().reason, cc::EpochSeal::kFinalize);
   const std::vector<cc::Phase> phases = cc::detect_phases(windows, 0.8);
   EXPECT_EQ(phases.size(), 2u);
 }

@@ -1,10 +1,9 @@
-// Flight-recorder unit suite: seal triggers, the bounded overwrite-and-count
-// ring, sparse-delta fidelity, epoch-file IO under hostile input, the
-// run-to-run diff math behind `commscope diff`, and the report renderers.
-//
-// The live-recorder half is compiled out with the recorder itself under
-// -DCOMMSCOPE_TELEMETRY=OFF; the data model, IO, diff and report halves are
-// unconditional — exactly the split the notelemetry CI preset checks.
+// Flight-recorder unit suite: seal triggers (the communicated-bytes phase
+// window among them), the bounded overwrite-and-count ring, sparse-delta
+// fidelity, epoch-file IO under hostile input, the serve aggregate's
+// round-trip of seal reasons, the run-to-run diff math behind
+// `commscope diff`, and the report renderers. The recorder is built the
+// same way with telemetry off, so the notelemetry CI preset runs all of it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +17,8 @@
 #include "core/flight_recorder.hpp"
 #include "core/timeline_report.hpp"
 #include "instrument/loop_registry.hpp"
+#include "serve/session.hpp"
+#include "support/textio.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
@@ -33,8 +34,15 @@ cc::FlightRecorderOptions opts(int threads, std::uint64_t every,
   return o;
 }
 
+cc::FlightRecorderOptions bytes_opts(int threads, std::uint64_t every_bytes) {
+  cc::FlightRecorderOptions o;
+  o.threads = threads;
+  o.every_bytes = every_bytes;
+  return o;
+}
+
 /// Hand-built timeline for the IO/diff/report halves (no live recorder
-/// needed, so these tests run under the notelemetry build too).
+/// needed).
 cc::EpochTimeline make_timeline() {
   cc::EpochTimeline t;
   t.threads = 4;
@@ -84,9 +92,10 @@ TEST(EpochModel, SealReasonRoundTrip) {
   for (const cc::EpochSeal r :
        {cc::EpochSeal::kAccesses, cc::EpochSeal::kBatches, cc::EpochSeal::kTimer,
         cc::EpochSeal::kCheckpoint, cc::EpochSeal::kFinalize,
-        cc::EpochSeal::kReplay}) {
+        cc::EpochSeal::kReplay, cc::EpochSeal::kBytes}) {
     EXPECT_EQ(cc::epoch_seal_from_string(cc::to_string(r)), r);
   }
+  EXPECT_EQ(cc::to_string(cc::EpochSeal::kBytes), std::string("bytes"));
   EXPECT_THROW((void)cc::epoch_seal_from_string("bogus"), std::runtime_error);
 }
 
@@ -104,6 +113,54 @@ TEST(EpochIo, RoundTripPreservesEverything) {
   ASSERT_EQ(got.epochs.size(), want.epochs.size());
   for (std::size_t i = 0; i < want.epochs.size(); ++i) {
     EXPECT_EQ(got.epochs[i], want.epochs[i]) << "epoch " << i;
+  }
+}
+
+TEST(EpochIo, BytesSealRoundTripsThroughFileAndServeAggregate) {
+  cc::EpochTimeline want = make_timeline();
+  want.epochs[0].reason = cc::EpochSeal::kBytes;
+  std::stringstream ss;
+  cc::write_epochs(ss, want);
+  EXPECT_NE(ss.str().find(" reason bytes"), std::string::npos);
+  const cc::EpochTimeline got = cc::read_epochs(ss);
+  ASSERT_EQ(got.epochs.size(), want.epochs.size());
+  EXPECT_EQ(got.epochs[0].reason, cc::EpochSeal::kBytes);
+  EXPECT_EQ(got.epochs[1].reason, cc::EpochSeal::kFinalize);
+
+  // The daemon merges a shipped timeline into its aggregate and persists the
+  // aggregate in its snapshot; the seal reason survives both.
+  commscope::serve::Aggregate agg(8, nullptr);
+  for (const cc::EpochSample& e : got.epochs) agg.merge(got, e);
+  ASSERT_EQ(agg.timeline().epochs.size(), 2u);
+  EXPECT_EQ(agg.timeline().epochs[0].reason, cc::EpochSeal::kBytes);
+  std::string blob;
+  agg.serialize(blob);
+  commscope::serve::Aggregate back(8, nullptr);
+  commscope::support::TokenScanner sc(blob, "test");
+  back.restore(sc);
+  ASSERT_EQ(back.timeline().epochs.size(), 2u);
+  EXPECT_EQ(back.timeline().epochs[0].reason, cc::EpochSeal::kBytes);
+  EXPECT_TRUE(back.matrix() == agg.matrix());
+}
+
+TEST(EpochIo, UnknownSealReasonRejected) {
+  std::stringstream ss;
+  cc::write_epochs(ss, make_timeline());
+  // Rename one reason and re-seal the CRC trailer, so the reader has to
+  // refuse the reason itself (what a reader older than a new seal reason
+  // does with it).
+  std::string payload = ss.str();
+  payload.erase(payload.rfind("crc32 "));
+  const std::size_t pos = payload.find("reason accesses");
+  ASSERT_NE(pos, std::string::npos);
+  payload.replace(pos + 7, 8, "bytesxyz");
+  std::istringstream in(commscope::support::with_crc_trailer(payload));
+  try {
+    (void)cc::read_epochs(in);
+    FAIL() << "unknown seal reason accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("seal reason"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -298,9 +355,7 @@ TEST(TimelineReport, EmptyTimelineRendersHint) {
   EXPECT_NE(text.str().find("no epochs recorded"), std::string::npos);
 }
 
-// --- live recorder (compiled out under -DCOMMSCOPE_TELEMETRY=OFF) ----------
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
+// --- live recorder ----------------------------------------------------------
 
 TEST(FlightRecorder, DisabledRecorderDoesNothing) {
   cc::FlightRecorder r(opts(4, 0));
@@ -430,4 +485,66 @@ TEST(FlightRecorder, MemoryTrackerChargedAndReleased) {
   EXPECT_EQ(tracker.current(), 0u);
 }
 
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
+// --- bytes trigger (phase windows) ------------------------------------------
+
+TEST(FlightRecorder, BytesTriggerSealsOnTheCrossingDependency) {
+  cc::FlightRecorder r(bytes_opts(4, 100));
+  ASSERT_TRUE(r.enabled());
+  r.add(0, 1, 60, ci::kNoLoop);
+  EXPECT_EQ(r.epochs_sealed(), 0u);
+  r.add(2, 3, 40, ci::kNoLoop);  // fills the window exactly
+  ASSERT_EQ(r.epochs_sealed(), 1u);
+  r.add(0, 1, 99, ci::kNoLoop);  // one byte short of the next seal
+  EXPECT_EQ(r.epochs_sealed(), 1u);
+  r.add(0, 1, 5, ci::kNoLoop);   // overshoot seals too, whole dependency in
+  ASSERT_EQ(r.epochs_sealed(), 2u);
+  const cc::EpochTimeline t = r.timeline();
+  ASSERT_EQ(t.epochs.size(), 2u);
+  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kBytes);
+  EXPECT_EQ(t.epochs[0].bytes, 100u);
+  EXPECT_EQ(t.epochs[0].dependencies, 2u);
+  EXPECT_EQ(t.epochs[0].dense(4).at(0, 1), 60u);
+  EXPECT_EQ(t.epochs[0].dense(4).at(2, 3), 40u);
+  EXPECT_EQ(t.epochs[1].bytes, 104u);
+  EXPECT_EQ(t.windows().size(), 2u);
+  EXPECT_TRUE(t.windows()[1] == t.epochs[1].dense(4));
+}
+
+TEST(FlightRecorder, BytesTriggerRunsAlongsideAccessTrigger) {
+  cc::FlightRecorderOptions o = opts(2, 10);  // stride 1: exact counts
+  o.every_bytes = 64;
+  cc::FlightRecorder r(o);
+  cc::Matrix want(2);
+  for (int i = 0; i < 20; ++i) r.count_access();  // two access seals
+  for (int i = 0; i < 8; ++i) {
+    r.add(0, 1, 16, ci::kNoLoop);  // two bytes seals
+    want.at(0, 1) += 16;
+  }
+  r.count_access();
+  r.flush(cc::EpochSeal::kFinalize);
+  const cc::EpochTimeline t = r.timeline();
+  ASSERT_EQ(t.epochs.size(), 5u);
+  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kAccesses);
+  EXPECT_EQ(t.epochs[1].reason, cc::EpochSeal::kAccesses);
+  EXPECT_EQ(t.epochs[2].reason, cc::EpochSeal::kBytes);
+  EXPECT_EQ(t.epochs[3].reason, cc::EpochSeal::kBytes);
+  EXPECT_EQ(t.epochs[4].reason, cc::EpochSeal::kFinalize);
+  EXPECT_EQ(t.epochs[2].bytes, 64u);
+  // The bytes seals cut no accesses; the access spans still tile the run.
+  EXPECT_EQ(t.epochs[2].last_access, t.epochs[2].first_access);
+  EXPECT_EQ(t.epochs[4].last_access, 21u);
+  EXPECT_TRUE(t.total() == want);
+}
+
+TEST(FlightRecorder, FlushSealsPartialBytesWindowOnce) {
+  cc::FlightRecorder r(bytes_opts(4, 1000));
+  r.add(1, 2, 10, ci::kNoLoop);
+  r.flush(cc::EpochSeal::kFinalize);
+  EXPECT_EQ(r.epochs_sealed(), 1u);
+  r.flush(cc::EpochSeal::kFinalize);  // nothing new arrived: no empty epoch
+  EXPECT_EQ(r.epochs_sealed(), 1u);
+  const cc::EpochTimeline t = r.timeline();
+  ASSERT_EQ(t.epochs.size(), 1u);
+  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kFinalize);
+  EXPECT_EQ(t.epochs[0].bytes, 10u);
+}

@@ -533,7 +533,10 @@ TEST(ServeSoak, EightClientsThroughInjectedFaultsMergeBitIdentical) {
   ASSERT_TRUE(h.start());
 
   // Client 2 dies mid-frame on its 2nd frame (the first epochs frame),
-  // reconnects and redelivers.
+  // reconnects and redelivers. It starts only once the accept fault has
+  // fired on another client's connection: had the daemon closed client 2's
+  // first connection at accept, the torn half-frame would go to a dead
+  // socket and the daemon could never count it.
   cr::FaultPlan client_plan;
   client_plan.drop_mid_frame_at = 2;
   cr::FaultInjector client_injector(client_plan, cr::KillMode::kThrow);
@@ -550,22 +553,26 @@ TEST(ServeSoak, EightClientsThroughInjectedFaultsMergeBitIdentical) {
   std::vector<int> ok(kClients, 0);
   std::vector<std::string> ctxs(kClients);
   std::vector<sv::ShipStats> stats(kClients);
+  const auto run_client = [&](int i) {
+    sv::ShipperOptions so = shipper_options(socket, 100 + i);
+    if (i == 2) so.injector = &client_injector;
+    sv::EpochShipper shipper(so);
+    ctxs[static_cast<std::size_t>(i)] = sv::ctx_to_hex(shipper.trace_ctx());
+    if (shipper.ship(truths[static_cast<std::size_t>(i)])) {
+      // Client 0 "crashes" without a goodbye — its session stays active
+      // so the redelivery below reattaches it.
+      if (i != 0) shipper.bye();
+      ok[static_cast<std::size_t>(i)] = 1;
+    }
+    stats[static_cast<std::size_t>(i)] = shipper.stats();
+  };
   for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      sv::ShipperOptions so = shipper_options(socket, 100 + i);
-      if (i == 2) so.injector = &client_injector;
-      sv::EpochShipper shipper(so);
-      ctxs[static_cast<std::size_t>(i)] =
-          sv::ctx_to_hex(shipper.trace_ctx());
-      if (shipper.ship(truths[static_cast<std::size_t>(i)])) {
-        // Client 0 "crashes" without a goodbye — its session stays active
-        // so the redelivery below reattaches it.
-        if (i != 0) shipper.bye();
-        ok[static_cast<std::size_t>(i)] = 1;
-      }
-      stats[static_cast<std::size_t>(i)] = shipper.stats();
-    });
+    if (i != 2) clients.emplace_back(run_client, i);
   }
+  EXPECT_TRUE(wait_until(
+      [&] { return h.server.snapshot().accept_failures >= 1; }))
+      << "accept-fail fault did not fire before client 2 started";
+  clients.emplace_back(run_client, 2);
   for (std::thread& t : clients) t.join();
   for (int i = 0; i < kClients; ++i) {
     EXPECT_EQ(ok[static_cast<std::size_t>(i)], 1) << "client " << i;

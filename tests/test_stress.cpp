@@ -238,8 +238,6 @@ TEST(FlushOrdering, RegistryFlushHooksDrainActiveSink) {
   EXPECT_EQ(prof.stats().accesses, 1u);
 }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 // Epoch ring under thread churn: waves of real threads hammer the profiler
 // (cross-thread RAW traffic included) with an aggressive seal trigger and a
 // tiny ring, with every thread replaced between waves. Whatever the
@@ -288,6 +286,8 @@ TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
     EXPECT_EQ(cell_sum, e.bytes) << "epoch " << e.index;
   }
 }
+
+#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 // Every trace record since enable() either occupies a ring slot, overwrote
 // one (counted in dropped), or spilled past the ring table (also counted).

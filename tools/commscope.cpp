@@ -87,7 +87,8 @@
 //   --fp-rate=F                 bloom FP target     (default 0.001)
 //   --classify                  count WAR/WAW/RAR too
 //   --sparse                    sparse region matrices
-//   --phases=BYTES              phase window volume (0 = off)
+//   --phases=BYTES              seal an epoch every BYTES communicated
+//                               bytes and report the phases (0 = off)
 //   --heatmaps=N                render the N hottest region matrices
 //   --csv=FILE                  write the per-region CSV
 //   --save-matrix=FILE          save the program matrix (matrix_io)
@@ -131,6 +132,7 @@
 #include "core/comm_diff.hpp"
 #include "core/epoch_io.hpp"
 #include "core/matrix_io.hpp"
+#include "core/phase.hpp"
 #include "core/profiler.hpp"
 #include "core/report.hpp"
 #include "core/timeline_report.hpp"
@@ -563,13 +565,11 @@ int emit_results(const cs::ArgParser& args, cc::Profiler& profiler,
         << "\n";
   }
   if (profiler.options().phase_window_bytes > 0) {
-    const auto phases =
-        cc::detect_phases(profiler.phase_timeline(), 0.75,
-                          cc::PhaseMetric::kOffsetCosine);
+    const auto phases = cc::detect_phases(profiler.phase_timeline(), 0.75);
     log << "phases detected: " << phases.size() << "\n";
     if (args.has("dvfs")) {
-      const commscope::power::DvfsPlan plan = commscope::power::plan_dvfs(
-          profiler.phase_timeline(), profiler.phase_window_accesses());
+      const commscope::power::DvfsPlan plan =
+          commscope::power::plan_dvfs(profiler.epoch_timeline());
       log << "DVFS plan:\n" << plan.to_string();
     }
   }
