@@ -1,38 +1,9 @@
 #include "serve/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
 
-#include "support/hash.hpp"
-
 namespace commscope::serve {
-
-namespace {
-
-void put_u32(std::string& s, std::uint32_t v) {
-  s.push_back(static_cast<char>(v & 0xff));
-  s.push_back(static_cast<char>((v >> 8) & 0xff));
-  s.push_back(static_cast<char>((v >> 16) & 0xff));
-  s.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t get_u32(const unsigned char* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-bool type_known(std::uint8_t t) noexcept {
-  return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint8_t>(FrameType::kAck);
-}
-
-bool payload_required(FrameType t) noexcept {
-  return t == FrameType::kHello || t == FrameType::kEpochs ||
-         t == FrameType::kScrapeReply || t == FrameType::kAck;
-}
-
-}  // namespace
 
 const char* to_string(FrameType t) noexcept {
   switch (t) {
@@ -47,96 +18,55 @@ const char* to_string(FrameType t) noexcept {
   return "?";
 }
 
-const char* to_string(FrameError e) noexcept {
-  switch (e) {
-    case FrameError::kNone: return "none";
-    case FrameError::kBadMagic: return "bad-magic";
-    case FrameError::kBadType: return "bad-type";
-    case FrameError::kOversize: return "oversize";
-    case FrameError::kEmptyPayload: return "empty-payload";
-    case FrameError::kBadCrc: return "bad-crc";
-  }
-  return "?";
-}
-
 std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(out, kFrameMagic);
-  out.push_back(static_cast<char>(type));
-  out.push_back('\0');
-  out.push_back('\0');
-  out.push_back('\0');
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, support::crc32(payload));
-  out.append(payload);
+  encode_record(out, kWireRecord, static_cast<std::uint8_t>(type), 0, {},
+                payload);
   return out;
 }
 
-void FrameDecoder::poison(FrameError e) {
+void FrameDecoder::poison(RecordError e) {
   err_ = e;
   hdr_have_ = 0;
-  in_payload_ = false;
   payload_.clear();
   payload_.shrink_to_fit();
-}
-
-void FrameDecoder::on_header() {
-  if (get_u32(hdr_) != kFrameMagic) {
-    poison(FrameError::kBadMagic);
-    return;
-  }
-  if (!type_known(hdr_[4]) || hdr_[5] != 0 || hdr_[6] != 0 || hdr_[7] != 0) {
-    poison(FrameError::kBadType);
-    return;
-  }
-  type_ = static_cast<FrameType>(hdr_[4]);
-  need_ = get_u32(hdr_ + 8);
-  want_crc_ = get_u32(hdr_ + 12);
-  if (need_ > max_payload_) {
-    // Length-prefix lie: reject before a single payload byte is buffered,
-    // so a hostile header can never drive a large allocation.
-    poison(FrameError::kOversize);
-    return;
-  }
-  if (need_ == 0 && payload_required(type_)) {
-    poison(FrameError::kEmptyPayload);
-    return;
-  }
-  payload_.clear();
-  payload_.reserve(need_);
-  in_payload_ = true;
 }
 
 bool FrameDecoder::feed(const char* data, std::size_t n) {
   if (poisoned()) return false;
   std::size_t i = 0;
   while (i < n) {
-    if (!in_payload_) {
+    if (hdr_have_ < kRecordHeaderBytes) {
       const std::size_t take =
-          std::min(n - i, kFrameHeaderBytes - hdr_have_);
+          std::min(n - i, kRecordHeaderBytes - hdr_have_);
       std::memcpy(hdr_ + hdr_have_, data + i, take);
       hdr_have_ += take;
       i += take;
-      if (hdr_have_ < kFrameHeaderBytes) break;
-      on_header();
-      if (poisoned()) return false;
-    }
-    if (in_payload_) {
-      const std::size_t take =
-          std::min(n - i, static_cast<std::size_t>(need_) - payload_.size());
-      payload_.append(data + i, take);
-      i += take;
-      if (payload_.size() < need_) break;
-      if (support::crc32(payload_) != want_crc_) {
-        poison(FrameError::kBadCrc);
+      if (hdr_have_ < kRecordHeaderBytes) break;
+      // Length-prefix lies are refused here, before a single payload byte
+      // is buffered, so a hostile header never drives a large allocation.
+      if (const RecordError e =
+              check_header(kWireRecord, hdr_, max_payload_, head_);
+          e != RecordError::kNone) {
+        poison(e);
         return false;
       }
-      ready_.push_back(Frame{type_, std::move(payload_)});
-      payload_ = std::string();
-      hdr_have_ = 0;
-      in_payload_ = false;
+      payload_.reserve(head_.len);
     }
+    const std::size_t take =
+        std::min(n - i, static_cast<std::size_t>(head_.len) - payload_.size());
+    payload_.append(data + i, take);
+    i += take;
+    if (payload_.size() < head_.len) break;
+    if (const RecordError e = check_payload(hdr_, payload_);
+        e != RecordError::kNone) {
+      poison(e);
+      return false;
+    }
+    ready_.push_back(Frame{static_cast<FrameType>(head_.type),
+                           std::move(payload_)});
+    payload_ = std::string();
+    hdr_have_ = 0;
   }
   return true;
 }

@@ -1,26 +1,19 @@
-// Length-prefixed binary framing for the `commscope serve` wire protocol.
-//
-// A frame is a fixed 16-byte little-endian header followed by the payload:
-//
-//   u32 magic        "CSF1" (0x31465343)
-//   u8  type         FrameType below
-//   u8  reserved     must be 0
-//   u16 reserved2    must be 0
-//   u32 payload_len  bytes following the header (<= the decoder's cap)
-//   u32 payload_crc  CRC32 over the payload bytes
+// Frames for the `commscope serve` wire protocol: the wire's row of the
+// shared record codec (serve/record.hpp) — magic "CSF2", seq 0 — plus an
+// incremental decoder for the socket.
 //
 // Payloads are the repo's existing hostile-hardened text formats — an epoch
 // frame carries a `commscope-epochs` document (core/epoch_io), a scrape
 // reply carries a `# commscope-metrics v1` snapshot — so the daemon reuses
 // the same capped, CRC-checked readers the file loaders already trust.
 //
-// The decoder is incremental and treats the stream as hostile: the header
-// is validated the moment its 16 bytes arrive (bad magic, unknown type,
-// length-prefix lies — len > cap, len = 0 for a type that requires a
-// payload — all poison the decoder *before* any payload allocation), the
-// payload buffer reserves exactly the declared length, and a CRC mismatch
-// poisons on completion. A poisoned decoder never yields another frame; the
-// server maps the poison reason to a per-session drop with provenance.
+// The decoder treats the stream as hostile: the codec validates each header
+// the moment its bytes arrive (bad magic, unknown type, length-prefix lies
+// all poison the decoder *before* any payload allocation), the payload
+// buffer reserves exactly the declared length, and a CRC mismatch poisons on
+// completion. A poisoned decoder never yields another frame; the server
+// maps the poison reason to a per-session drop with provenance; a peer
+// still sending 16-byte CSF1 headers is refused as bad-magic.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +21,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "serve/record.hpp"
 
 namespace commscope::serve {
 
@@ -49,8 +44,15 @@ enum class FrameType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FrameType t) noexcept;
 
-inline constexpr std::uint32_t kFrameMagic = 0x31465343u;  // "CSF1" LE
-inline constexpr std::size_t kFrameHeaderBytes = 16;
+/// The wire's row in the record codec. Heartbeat, bye and scrape carry no
+/// payload; a scrape reply may be empty (a daemon built without telemetry
+/// has no metrics to report).
+inline constexpr RecordKind kWireRecord{
+    0x32465343u,  // "CSF2" LE
+    static_cast<std::uint8_t>(FrameType::kAck),
+    type_mask(FrameType::kHeartbeat, FrameType::kBye, FrameType::kScrape,
+              FrameType::kScrapeReply)};
+
 /// Default payload ceiling. A client that declares more is lying or
 /// misbehaving — either way the session is dropped before allocation.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
@@ -63,18 +65,6 @@ struct Frame {
 /// Serializes one frame (header + payload) ready for the socket.
 [[nodiscard]] std::string encode_frame(FrameType type,
                                        std::string_view payload);
-
-/// Why a decoder refused the stream (provenance for the drop counters).
-enum class FrameError : std::uint8_t {
-  kNone,
-  kBadMagic,      ///< header magic mismatch (garbage / desynced stream)
-  kBadType,       ///< unknown frame type or nonzero reserved bytes
-  kOversize,      ///< declared payload_len exceeds the decoder's cap
-  kEmptyPayload,  ///< len = 0 for a type that requires a payload
-  kBadCrc,        ///< payload CRC mismatch (bitflip / torn write)
-};
-
-[[nodiscard]] const char* to_string(FrameError e) noexcept;
 
 /// Incremental frame reassembler. feed() accepts arbitrary byte chunks
 /// (short reads, concatenated frames); next() pops completed frames in
@@ -93,9 +83,9 @@ class FrameDecoder {
   [[nodiscard]] std::optional<Frame> next();
 
   [[nodiscard]] bool poisoned() const noexcept {
-    return err_ != FrameError::kNone;
+    return err_ != RecordError::kNone;
   }
-  [[nodiscard]] FrameError error() const noexcept { return err_; }
+  [[nodiscard]] RecordError error() const noexcept { return err_; }
 
   /// True when a frame is partially assembled — EOF here means the peer
   /// died mid-frame (a torn frame, counted by the server).
@@ -115,20 +105,15 @@ class FrameDecoder {
   }
 
  private:
-  void poison(FrameError e);
-  /// Validates the completed header; reserves the payload or poisons.
-  void on_header();
+  void poison(RecordError e);
 
   std::uint32_t max_payload_;
-  unsigned char hdr_[kFrameHeaderBytes] = {};
-  std::size_t hdr_have_ = 0;
-  bool in_payload_ = false;
-  FrameType type_ = FrameType::kHeartbeat;
-  std::uint32_t need_ = 0;
-  std::uint32_t want_crc_ = 0;
+  unsigned char hdr_[kRecordHeaderBytes] = {};
+  std::size_t hdr_have_ = 0;  ///< == kRecordHeaderBytes: reading payload
+  RecordHeader head_;
   std::string payload_;
   std::deque<Frame> ready_;
-  FrameError err_ = FrameError::kNone;
+  RecordError err_ = RecordError::kNone;
 };
 
 }  // namespace commscope::serve

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "support/hash.hpp"
 #include "support/textio.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -35,38 +34,6 @@ constexpr std::uint64_t kSlowFsyncMicros = 50'000;
 constexpr int kSlowFsyncStreak = 3;
 constexpr int kFastFsyncStreak = 64;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(const unsigned char* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* p) noexcept {
-  return static_cast<std::uint64_t>(get_u32(p)) |
-         (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
-}
-
-bool valid_record_type(std::uint8_t t) noexcept {
-  return t >= static_cast<std::uint8_t>(WalRecordType::kHello) &&
-         t <= static_cast<std::uint8_t>(WalRecordType::kDrop);
-}
-
 /// kill -9 semantics for the injected crash points: the process must vanish
 /// mid-operation exactly as an external SIGKILL would take it, with no
 /// destructors, flushes or atexit hooks softening the landing.
@@ -88,15 +55,6 @@ const char* to_string(WalRecordType t) noexcept {
   return "?";
 }
 
-const char* to_string(WalStop s) noexcept {
-  switch (s) {
-    case WalStop::kClean: return "clean";
-    case WalStop::kTorn: return "torn-tail";
-    case WalStop::kBad: return "bad-record";
-  }
-  return "?";
-}
-
 const char* to_string(FsyncPolicy p) noexcept {
   switch (p) {
     case FsyncPolicy::kPerAck: return "per-ack";
@@ -113,93 +71,50 @@ std::optional<FsyncPolicy> parse_fsync_policy(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-/// The record CRC covers type + reserved + lsn + payload (header bytes
-/// 4..15 seed the payload CRC), so a bitflip anywhere but the magic — in
-/// particular in the LSN, which replay's skip-below-snapshot logic trusts —
-/// fails validation instead of yielding a record with forged metadata.
-std::uint32_t wal_record_crc(std::string_view header_4_to_16,
-                             std::string_view payload) {
-  return support::crc32(payload, support::crc32(header_4_to_16));
-}
-
 std::string encode_wal_record(WalRecordType type, std::uint64_t lsn,
                               std::string_view payload) {
   std::string out;
-  out.reserve(kWalHeaderBytes + payload.size());
-  put_u32(out, kWalMagic);
-  out.push_back(static_cast<char>(type));
-  out.push_back(0);
-  put_u16(out, 0);
-  put_u64(out, lsn);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out,
-          wal_record_crc(std::string_view(out).substr(4, 12), payload));
-  out.append(payload);
+  encode_record(out, kWalRecord, static_cast<std::uint8_t>(type), lsn, {},
+                payload);
   return out;
+}
+
+std::nullopt_t WalReader::stop_at(WalStop stop, const char* reason) noexcept {
+  done_ = true;
+  stop_ = stop;
+  reason_ = reason;
+  return std::nullopt;
 }
 
 std::optional<WalRecord> WalReader::next() {
   if (done_) return std::nullopt;
   const std::size_t remain = image_.size() - cursor_;
-  if (remain == 0) {
-    done_ = true;
-    stop_ = WalStop::kClean;
-    reason_ = "clean";
-    return std::nullopt;
-  }
-  if (remain < kWalHeaderBytes) {
-    done_ = true;
-    stop_ = WalStop::kTorn;
-    reason_ = "torn header";
-    return std::nullopt;
+  if (remain == 0) return stop_at(WalStop::kClean, "clean");
+  if (remain < kRecordHeaderBytes) {
+    return stop_at(WalStop::kTorn, "torn-header");
   }
   const auto* h =
       reinterpret_cast<const unsigned char*>(image_.data() + cursor_);
-  if (get_u32(h) != kWalMagic) {
-    done_ = true;
-    stop_ = WalStop::kBad;
-    reason_ = "bad magic";
-    return std::nullopt;
+  RecordHeader head;
+  // Header lies (including a zero or over-cap length) are bad, not torn: a
+  // kill -9 can cut a record short but cannot rewrite its header.
+  if (const RecordError e = check_header(kWalRecord, h, max_payload_, head);
+      e != RecordError::kNone) {
+    return stop_at(WalStop::kBad, to_string(e));
   }
-  if (!valid_record_type(h[4]) || h[5] != 0 || h[6] != 0 || h[7] != 0) {
-    done_ = true;
-    stop_ = WalStop::kBad;
-    reason_ = "bad record type";
-    return std::nullopt;
-  }
-  const std::uint64_t lsn = get_u64(h + 8);
-  const std::uint32_t len = get_u32(h + 16);
-  const std::uint32_t want_crc = get_u32(h + 20);
-  if (len == 0 || len > max_payload_) {
-    // A zero or outlandish length prefix is a lie, not a torn write: no
-    // record type has an empty payload and the cap bounds every real one.
-    done_ = true;
-    stop_ = WalStop::kBad;
-    reason_ = "length prefix out of range";
-    return std::nullopt;
-  }
-  if (remain - kWalHeaderBytes < len) {
-    done_ = true;
-    stop_ = WalStop::kTorn;
-    reason_ = "torn payload";
-    return std::nullopt;
+  if (remain - kRecordHeaderBytes < head.len) {
+    return stop_at(WalStop::kTorn, "torn-payload");
   }
   const std::string_view payload =
-      image_.substr(cursor_ + kWalHeaderBytes, len);
-  if (wal_record_crc(image_.substr(cursor_ + 4, 12), payload) != want_crc) {
-    done_ = true;
-    stop_ = WalStop::kBad;
-    reason_ = "record crc mismatch";
-    return std::nullopt;
+      image_.substr(cursor_ + kRecordHeaderBytes, head.len);
+  if (const RecordError e = check_payload(h, payload);
+      e != RecordError::kNone) {
+    return stop_at(WalStop::kBad, to_string(e));
   }
-  cursor_ += kWalHeaderBytes + len;
-  consumed_ = cursor_;
+  cursor_ += kRecordHeaderBytes + head.len;
   ++records_;
-  WalRecord r;
-  r.lsn = lsn;
-  r.type = static_cast<WalRecordType>(h[4]);
-  r.payload.assign(payload);
-  return r;
+  return WalRecord{head.seq, static_cast<WalRecordType>(head.type),
+                   std::string(payload)};
 }
 
 // --- snapshot ----------------------------------------------------------------
@@ -353,7 +268,6 @@ bool Journal::recover(std::string& snapshot, std::vector<WalRecord>& tail,
     WalReader reader(image, options_.max_payload);
     while (auto r = reader.next()) {
       tail.push_back(std::move(*r));
-      if (r->lsn > lsn_) lsn_ = r->lsn;
     }
     stats_.replay_records = reader.records();
     if (reader.stop() != WalStop::kClean) {
@@ -516,26 +430,11 @@ bool Journal::append(WalRecordType type, std::string_view prefix,
   ++appends_seen_;
   // Encode into the reusable scratch buffer: the hot ingest path appends
   // one record per epochs frame, so steady-state this is a single memcpy of
-  // the frame payload with zero allocations — the record is (header,
-  // prefix, payload) with the CRC chained across all three, identical to
-  // encode_wal_record(type, lsn, prefix + payload).
+  // the frame payload with zero allocations.
   std::string& record = scratch_;
   record.clear();
-  record.reserve(kWalHeaderBytes + prefix.size() + payload.size());
-  put_u32(record, kWalMagic);
-  record.push_back(static_cast<char>(type));
-  record.push_back(0);
-  put_u16(record, 0);
-  put_u64(record, ++lsn_);
-  put_u32(record,
-          static_cast<std::uint32_t>(prefix.size() + payload.size()));
-  const std::uint32_t crc = support::crc32(
-      payload, support::crc32(prefix,
-                              support::crc32(std::string_view(record)
-                                                 .substr(4, 12))));
-  put_u32(record, crc);
-  record.append(prefix);
-  record.append(payload);
+  encode_record(record, kWalRecord, static_cast<std::uint8_t>(type), ++lsn_,
+                prefix, payload);
   const resilience::FaultPlan* plan =
       options_.injector != nullptr ? &options_.injector->plan() : nullptr;
   if (plan != nullptr && plan->wal_torn_tail_at != 0 &&

@@ -29,17 +29,11 @@
 //   rung) and sustained fsync latency can push down rung by rung, each
 //   transition counted and traced (serve.wal.degrade / serve.wal.recover).
 //
-// Wire format (all integers little-endian), one record:
-//
-//   u32 magic        "CSJ1" (0x314a5343)
-//   u8  type         WalRecordType below
-//   u8  reserved     must be 0
-//   u16 reserved2    must be 0
-//   u64 lsn          strictly increasing per journal
-//   u32 payload_len  bytes following the header (<= the reader's cap)
-//   u32 payload_crc  CRC32 over header bytes 4..15 then the payload, so a
-//                    flipped bit in the type/reserved/lsn fields fails
-//                    validation the same way payload damage does
+// On-disk format: each record is the WAL's row of the shared record codec
+// (serve/record.hpp) — magic "CSJ1", seq = an LSN strictly increasing per
+// journal, and a CRC over the type/reserved/LSN header bytes and the
+// payload, so a flipped bit in the LSN that replay's skip-below-snapshot
+// logic trusts fails validation the same way payload damage does.
 //
 // Payloads are the repo's existing hostile-hardened text conventions: an
 // epochs record carries "session <id>\n" plus a verbatim `commscope-epochs`
@@ -56,6 +50,7 @@
 #include <vector>
 
 #include "resilience/fault_injector.hpp"
+#include "serve/record.hpp"
 #include "serve/session.hpp"
 #include "support/memtrack.hpp"
 
@@ -73,8 +68,10 @@ enum class WalRecordType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(WalRecordType t) noexcept;
 
-inline constexpr std::uint32_t kWalMagic = 0x314a5343u;  // "CSJ1" LE
-inline constexpr std::size_t kWalHeaderBytes = 24;
+/// The WAL's row in the record codec: every record type carries a payload.
+inline constexpr RecordKind kWalRecord{
+    0x314a5343u,  // "CSJ1" LE
+    static_cast<std::uint8_t>(WalRecordType::kDrop), 0};
 /// Per-record payload ceiling: one epochs frame plus its session prefix.
 inline constexpr std::uint32_t kMaxWalPayload = (16u << 20) + 64;
 /// Recovery slurp ceiling — a WAL the compactor never truncated must still
@@ -96,17 +93,15 @@ struct WalRecord {
 enum class WalStop : std::uint8_t {
   kClean,  ///< end of buffer exactly at a record boundary
   kTorn,   ///< buffer ends mid-record — the classic kill -9 tail
-  kBad,    ///< framing violation (magic/type/oversize/CRC) at the cursor
+  kBad,    ///< the codec refused the record at the cursor
 };
 
-[[nodiscard]] const char* to_string(WalStop s) noexcept;
-
 /// Forward-only WAL scanner over an in-memory image. The reader's contract
-/// is recover-or-reject: every record it yields passed magic, type,
-/// length-cap and CRC checks; the first deviation stops the scan (stop()
-/// says why, consumed() says where) and nothing past it is ever yielded.
-/// Payload allocation is bounded by the declared cap no matter what a
-/// hostile length prefix claims.
+/// is recover-or-reject: every record it yields passed the codec's header
+/// and CRC checks; the first deviation stops the scan (stop() says why,
+/// consumed() says where) and nothing past it is ever yielded. It copies
+/// one payload per record, bounded by the cap no matter what a hostile
+/// length prefix claims.
 class WalReader {
  public:
   explicit WalReader(std::string_view image,
@@ -119,14 +114,15 @@ class WalReader {
   [[nodiscard]] WalStop stop() const noexcept { return stop_; }
   [[nodiscard]] const char* stop_reason() const noexcept { return reason_; }
   /// Bytes consumed by fully-validated records (the recoverable prefix).
-  [[nodiscard]] std::size_t consumed() const noexcept { return consumed_; }
+  [[nodiscard]] std::size_t consumed() const noexcept { return cursor_; }
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
 
  private:
+  std::nullopt_t stop_at(WalStop stop, const char* reason) noexcept;
+
   std::string_view image_;
   std::uint32_t max_payload_;
   std::size_t cursor_ = 0;
-  std::size_t consumed_ = 0;
   std::uint64_t records_ = 0;
   bool done_ = false;
   WalStop stop_ = WalStop::kClean;

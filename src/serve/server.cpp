@@ -704,14 +704,14 @@ bool ServeServer::service_conn(Conn& c) {
       if (c.fd < 0) return false;  // frame handler closed/dropped us
     }
     if (!fed) {
-      const FrameError err = c.decoder.error();
+      const RecordError err = c.decoder.error();
       switch (err) {
-        case FrameError::kBadMagic: ++stats_.drops_bad_magic; break;
-        case FrameError::kBadType: ++stats_.drops_bad_type; break;
-        case FrameError::kOversize: ++stats_.drops_oversize; break;
-        case FrameError::kEmptyPayload: ++stats_.drops_empty; break;
-        case FrameError::kBadCrc: ++stats_.drops_bad_crc; break;
-        case FrameError::kNone: break;
+        case RecordError::kBadMagic: ++stats_.drops_bad_magic; break;
+        case RecordError::kBadType: ++stats_.drops_bad_type; break;
+        case RecordError::kOversize: ++stats_.drops_oversize; break;
+        case RecordError::kEmptyPayload: ++stats_.drops_empty; break;
+        case RecordError::kBadCrc: ++stats_.drops_bad_crc; break;
+        case RecordError::kNone: break;
       }
       drop_session(c, to_string(err));
       return false;

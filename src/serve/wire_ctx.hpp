@@ -1,9 +1,10 @@
 // Cross-process trace-context carriage for the serve wire protocol.
 //
-// The CSF1 frame header is deliberately rigid — its reserved bytes MUST be
-// zero and an unknown type permanently poisons the decoder — so a context id
-// cannot ride there without breaking every deployed peer. Instead it rides
-// the two payload surfaces that were *specified loose* from day one:
+// The frame header (serve/record.hpp) is deliberately rigid — its reserved
+// bytes MUST be zero and sit under the CRC, and an unknown type permanently
+// poisons the decoder — so a context id cannot ride there without a new
+// record magic that every peer would refuse. Instead it rides the two
+// payload surfaces that were *specified loose* from day one:
 //
 //   * hello trailer:  "commscope-hello 1 session <id> threads <n>
 //                      ctx <hex> tns <ns>"

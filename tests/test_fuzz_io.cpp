@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -155,111 +156,6 @@ TEST(FuzzIo, DamagedCheckpointFilesAlwaysThrowCleanly) {
   EXPECT_EQ(rejected, kIterations);
 }
 
-// --- serve wire-frame parser -----------------------------------------------
-// The daemon's FrameDecoder sits on a public socket, so its threat model is
-// harsher than the file loaders': arbitrary bytes, length-prefix lies,
-// CRC bitflips and concatenated garbage must all end in a *poisoned* decoder
-// (counted, provenance-typed) with the payload buffer never growing past the
-// declared cap — no exception, no crash, no allocation amplification.
-
-namespace {
-
-std::string valid_frame_stream() {
-  namespace sv = commscope::serve;
-  std::string s;
-  s += sv::encode_frame(sv::FrameType::kHello,
-                        "commscope-hello 1 session 99 threads 4");
-  s += sv::encode_frame(sv::FrameType::kEpochs,
-                        std::string(300, 'e') + " epoch document body");
-  s += sv::encode_frame(sv::FrameType::kHeartbeat, {});
-  return s;
-}
-
-}  // namespace
-
-TEST(FuzzIo, DamagedFrameStreamsPoisonOrTruncateNeverCrash) {
-  namespace sv = commscope::serve;
-  const std::string original = valid_frame_stream();
-  constexpr std::size_t kCap = 4096;
-  cs::SplitMix64 rng(0xf4a3eD);
-  int poisoned = 0;
-  int torn = 0;
-  for (int i = 0; i < kIterations; ++i) {
-    const std::string text = damage(original, rng);
-    sv::FrameDecoder d(kCap);
-    const bool ok = d.feed(text.data(), text.size());
-    while (d.next().has_value()) {
-    }
-    if (!ok) {
-      // Every poisoning carries a typed reason, and a poisoned decoder
-      // stays poisoned even when fed a pristine frame afterwards.
-      ++poisoned;
-      EXPECT_NE(d.error(), sv::FrameError::kNone);
-      const std::string fresh = sv::encode_frame(sv::FrameType::kBye, {});
-      EXPECT_FALSE(d.feed(fresh.data(), fresh.size()));
-      EXPECT_FALSE(d.next().has_value());
-    } else if (d.mid_frame()) {
-      ++torn;  // truncation landed mid-frame: recoverable, not hostile
-    }
-    // The cap bounds payload allocation no matter what the header claimed.
-    EXPECT_LE(d.buffer_capacity(), kCap * 2);
-  }
-  // The seeded damage mix must actually exercise both outcomes.
-  EXPECT_GT(poisoned, 0);
-  EXPECT_GT(torn, 0);
-}
-
-TEST(FuzzIo, FrameLengthPrefixLiesNeverAllocate) {
-  namespace sv = commscope::serve;
-  constexpr std::size_t kCap = 1024;
-  cs::SplitMix64 rng(0x11e5);
-  for (int i = 0; i < kIterations; ++i) {
-    // Hand-forge a header whose length field lies: up to 4 GiB claimed
-    // against a 1 KiB cap.
-    std::string f = sv::encode_frame(sv::FrameType::kEpochs, "x");
-    const std::uint64_t lie = rng.next_below(0xffffffffull);
-    f[8] = static_cast<char>(lie & 0xff);
-    f[9] = static_cast<char>((lie >> 8) & 0xff);
-    f[10] = static_cast<char>((lie >> 16) & 0xff);
-    f[11] = static_cast<char>((lie >> 24) & 0xff);
-    sv::FrameDecoder d(kCap);
-    (void)d.feed(f.data(), f.size());
-    EXPECT_LE(d.buffer_capacity(), kCap * 2);
-    if (lie == 0 || lie > kCap) {
-      EXPECT_TRUE(d.poisoned());
-      EXPECT_TRUE(d.error() == sv::FrameError::kOversize ||
-                  d.error() == sv::FrameError::kEmptyPayload);
-    }
-  }
-}
-
-TEST(FuzzIo, PureGarbageStreamsPoisonAsBadMagic) {
-  namespace sv = commscope::serve;
-  cs::SplitMix64 rng(0xbadbeef);
-  for (int i = 0; i < 32; ++i) {
-    std::string junk;
-    const std::size_t len = 1 + rng.next_below(512);
-    for (std::size_t k = 0; k < len; ++k) {
-      junk.push_back(static_cast<char>(rng.next_below(256)));
-    }
-    sv::FrameDecoder d(1024);
-    if (!d.feed(junk.data(), junk.size())) {
-      EXPECT_NE(d.error(), sv::FrameError::kNone);
-    }
-    EXPECT_LE(d.buffer_capacity(), std::size_t{2048});
-  }
-}
-
-TEST(FuzzIo, UndamagedFrameStreamStillDecodes) {
-  namespace sv = commscope::serve;
-  const std::string s = valid_frame_stream();
-  sv::FrameDecoder d;
-  ASSERT_TRUE(d.feed(s.data(), s.size()));
-  int frames = 0;
-  while (d.next().has_value()) ++frames;
-  EXPECT_EQ(frames, 3);
-}
-
 TEST(FuzzIo, UndamagedFilesStillParse) {
   std::stringstream m(valid_matrix_file());
   EXPECT_EQ(cc::read_matrix(m).size(), 6);
@@ -268,11 +164,13 @@ TEST(FuzzIo, UndamagedFilesStillParse) {
   EXPECT_EQ(cr::parse_checkpoint_text(valid_checkpoint_file()).threads, 4);
 }
 
-// --- serve WAL + snapshot (the durability layer) ----------------------------
-// The journal's threat model matches the frame decoder's: after a crash the
-// WAL and snapshot on disk are arbitrary bytes. Recovery must either yield a
-// CRC-validated prefix (WAL) or reject the whole image (snapshot) — never
-// crash, never allocate what a length prefix merely claims.
+// --- serve records (wire + WAL) and snapshots ------------------------------
+// The daemon's FrameDecoder sits on a public socket, and after a crash the
+// WAL and snapshot on disk are arbitrary bytes. Both record streams go
+// through the one record codec, so one fuzz target drives both kinds:
+// seeded damage, length-prefix lies and garbage must end in a validated
+// prefix plus a typed refusal (or a torn tail) — never a crash, never an
+// allocation a length prefix merely claims. Snapshots must reject whole.
 
 namespace {
 
@@ -355,68 +253,237 @@ bool snapshot_rejected(const std::string& text) {
 
 }  // namespace
 
-TEST(FuzzIo, DamagedWalImagesYieldValidatedPrefixNeverCrash) {
-  const std::vector<sv::WalRecord> originals = valid_wal_records();
-  const std::string image = wal_image(originals);
-  cs::SplitMix64 rng(0x5eed0a11);
-  for (int i = 0; i < kIterations; ++i) {
-    const std::string hostile = damage(image, rng);
-    sv::WalReader reader(hostile, sv::kMaxWalPayload);
-    std::vector<sv::WalRecord> got;
-    while (auto r = reader.next()) got.push_back(std::move(*r));
-    // Single-byte damage (or truncation) at byte P cannot forge a CRC, so
-    // everything the reader yields must be an exact prefix of the
-    // originals; the reader stops with provenance at the damage.
-    ASSERT_LE(got.size(), originals.size());
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k].lsn, originals[k].lsn);
-      EXPECT_EQ(static_cast<int>(got[k].type),
-                static_cast<int>(originals[k].type));
-      EXPECT_EQ(got[k].payload, originals[k].payload);
-    }
-    if (got.size() < originals.size()) {
-      EXPECT_NE(reader.stop(), sv::WalStop::kClean);
-      EXPECT_NE(reader.stop_reason()[0], '\0');
-    }
-    EXPECT_LE(reader.consumed(), hostile.size());
+namespace {
+
+/// One decoded record, whichever kind it came from (wire frames have seq 0).
+struct AnyRecord {
+  int type = 0;
+  std::uint64_t seq = 0;
+  std::string payload;
+  bool operator==(const AnyRecord&) const = default;
+};
+
+enum class End { kClean, kTorn, kBad };
+
+/// How a reader ended on one byte image.
+struct ReadOutcome {
+  std::vector<AnyRecord> records;
+  End end = End::kClean;
+  std::string reason;            ///< to_string(RecordError) when kBad
+  std::size_t max_capacity = 0;  ///< largest payload buffer the reader held
+};
+
+/// A record kind under test: a valid stream, its encoder and its reader.
+struct RecordKindUnderTest {
+  const char* name;
+  std::vector<AnyRecord> valid;
+  std::string (*encode)(const AnyRecord&);
+  ReadOutcome (*read)(std::string_view bytes, std::uint32_t cap);
+};
+
+std::string encode_wire(const AnyRecord& r) {
+  return sv::encode_frame(static_cast<sv::FrameType>(r.type), r.payload);
+}
+
+std::string encode_wal(const AnyRecord& r) {
+  return sv::encode_wal_record(static_cast<sv::WalRecordType>(r.type), r.seq,
+                               r.payload);
+}
+
+ReadOutcome read_wire(std::string_view bytes, std::uint32_t cap) {
+  sv::FrameDecoder d(cap);
+  ReadOutcome o;
+  const bool ok = d.feed(bytes.data(), bytes.size());
+  o.max_capacity = d.buffer_capacity();
+  while (auto f = d.next()) {
+    o.max_capacity = std::max(o.max_capacity, f->payload.capacity());
+    o.records.push_back(
+        {static_cast<int>(f->type), 0, std::move(f->payload)});
+  }
+  if (!ok) {
+    o.end = End::kBad;
+    o.reason = sv::to_string(d.error());
+    // A poisoned decoder stays poisoned, even when fed a pristine frame.
+    const std::string fresh = sv::encode_frame(sv::FrameType::kBye, {});
+    EXPECT_FALSE(d.feed(fresh.data(), fresh.size()));
+    EXPECT_FALSE(d.next().has_value());
+  } else if (d.mid_frame()) {
+    o.end = End::kTorn;
+  }
+  return o;
+}
+
+ReadOutcome read_wal(std::string_view bytes, std::uint32_t cap) {
+  sv::WalReader reader(bytes, cap);
+  ReadOutcome o;
+  std::size_t used = 0;
+  while (auto r = reader.next()) {
+    used += sv::kRecordHeaderBytes + r->payload.size();
+    o.max_capacity = std::max(o.max_capacity, r->payload.capacity());
+    o.records.push_back(
+        {static_cast<int>(r->type), r->lsn, std::move(r->payload)});
+  }
+  EXPECT_EQ(reader.consumed(), used);
+  switch (reader.stop()) {
+    case sv::WalStop::kClean: o.end = End::kClean; break;
+    case sv::WalStop::kTorn: o.end = End::kTorn; break;
+    case sv::WalStop::kBad:
+      o.end = End::kBad;
+      o.reason = reader.stop_reason();
+      break;
+  }
+  return o;
+}
+
+std::vector<RecordKindUnderTest> record_kinds() {
+  const auto t = [](auto type) { return static_cast<int>(type); };
+  std::vector<RecordKindUnderTest> kinds;
+  kinds.push_back(
+      {"wire",
+       {{t(sv::FrameType::kHello), 0, "commscope-hello 1 session 99 threads 4"},
+        {t(sv::FrameType::kEpochs), 0,
+         std::string(300, 'e') + " epoch document body"},
+        {t(sv::FrameType::kHeartbeat), 0, ""}},
+       encode_wire,
+       read_wire});
+  std::vector<AnyRecord> wal;
+  for (const sv::WalRecord& r : valid_wal_records()) {
+    wal.push_back({t(r.type), r.lsn, r.payload});
+  }
+  kinds.push_back({"wal", std::move(wal), encode_wal, read_wal});
+  return kinds;
+}
+
+std::string encode_all(const RecordKindUnderTest& kind) {
+  std::string image;
+  for (const AnyRecord& r : kind.valid) image += kind.encode(r);
+  return image;
+}
+
+/// True for the provenance strings the codec's error enum renders.
+bool typed_reason(const std::string& reason) {
+  for (const sv::RecordError e :
+       {sv::RecordError::kBadMagic, sv::RecordError::kBadType,
+        sv::RecordError::kOversize, sv::RecordError::kEmptyPayload,
+        sv::RecordError::kBadCrc}) {
+    if (reason == sv::to_string(e)) return true;
+  }
+  return false;
+}
+
+/// Rewrites a record's payload_len field (little-endian u32) in place.
+void set_payload_len(std::string& record, std::uint64_t len) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    record[sv::kRecordLenAt + i] = static_cast<char>(len >> (8 * i));
   }
 }
 
-TEST(FuzzIo, WalLengthPrefixLiesNeverOverAllocate) {
-  // A header may claim any payload length; the reader must refuse claims
-  // past its cap (and zero-length claims) *before* allocating or scanning.
-  std::string lie = sv::encode_wal_record(sv::WalRecordType::kEpochs, 1,
-                                          "short payload");
-  lie[16] = static_cast<char>(0xff);  // payload_len -> ~4 GiB
-  lie[17] = static_cast<char>(0xff);
-  lie[18] = static_cast<char>(0xff);
-  lie[19] = static_cast<char>(0x7f);
-  {
-    sv::WalReader reader(lie, 4096);
-    EXPECT_FALSE(reader.next().has_value());
-    EXPECT_EQ(reader.stop(), sv::WalStop::kBad);
+}  // namespace
+
+TEST(FuzzIo, DamagedRecordStreamsYieldValidatedPrefixNeverCrash) {
+  constexpr std::uint32_t kCap = 4096;
+  for (const RecordKindUnderTest& kind : record_kinds()) {
+    SCOPED_TRACE(kind.name);
+    const std::string image = encode_all(kind);
+    const ReadOutcome pristine = kind.read(image, kCap);
+    EXPECT_EQ(pristine.end, End::kClean);
+    EXPECT_EQ(pristine.records, kind.valid);
+
+    cs::SplitMix64 rng(0x5eed0a11);
+    int bad = 0;
+    int torn = 0;
+    for (int i = 0; i < kIterations; ++i) {
+      const std::string hostile = damage(image, rng);
+      const ReadOutcome o = kind.read(hostile, kCap);
+      // Single-byte damage (or truncation) cannot forge a CRC, so whatever
+      // the reader yields is an exact prefix of the originals.
+      ASSERT_LE(o.records.size(), kind.valid.size());
+      std::size_t used = 0;
+      for (std::size_t k = 0; k < o.records.size(); ++k) {
+        EXPECT_EQ(o.records[k], kind.valid[k]);
+        used += sv::kRecordHeaderBytes + o.records[k].payload.size();
+      }
+      switch (o.end) {
+        case End::kClean:  // only a cut exactly at a record boundary
+          EXPECT_EQ(used, hostile.size());
+          break;
+        case End::kTorn:  // truncated mid-record: recoverable, not hostile
+          ++torn;
+          EXPECT_LT(used, hostile.size());
+          break;
+        case End::kBad:  // refused with provenance
+          ++bad;
+          EXPECT_TRUE(typed_reason(o.reason)) << o.reason;
+          break;
+      }
+      // The cap bounds payload allocation no matter what a header claimed.
+      EXPECT_LE(o.max_capacity, std::size_t{kCap} * 2);
+    }
+    // The seeded damage mix must exercise both refusal outcomes.
+    EXPECT_GT(bad, 0);
+    EXPECT_GT(torn, 0);
   }
-  {
-    // Zero-length claim: the journal never writes empty payloads, so this
-    // is a lie by construction, not a torn tail.
-    const std::string zero =
-        sv::encode_wal_record(sv::WalRecordType::kHello, 1, "x");
-    std::string forged = zero;
-    forged[16] = 0;
-    sv::WalReader reader(forged, 4096);
-    EXPECT_FALSE(reader.next().has_value());
-    EXPECT_EQ(reader.stop(), sv::WalStop::kBad);
+}
+
+TEST(FuzzIo, RecordLengthPrefixLiesNeverOverAllocate) {
+  constexpr std::uint32_t kCap = 1024;
+  for (const RecordKindUnderTest& kind : record_kinds()) {
+    SCOPED_TRACE(kind.name);
+    // valid[1] is each kind's epochs record, a type that needs a payload.
+    const AnyRecord victim{kind.valid[1].type, kind.valid[1].seq,
+                           "short payload"};
+    const std::uint64_t actual = victim.payload.size();
+    std::vector<std::uint64_t> lies = {0,    1,        actual - 1, actual + 1,
+                                       kCap, kCap + 1, 0xffffffffull};
+    cs::SplitMix64 rng(0x11e5);
+    for (int i = 0; i < kIterations; ++i) {
+      lies.push_back(rng.next_below(0xffffffffull));
+    }
+    for (const std::uint64_t lie : lies) {
+      std::string rec = kind.encode(victim);
+      set_payload_len(rec, lie);
+      const ReadOutcome o = kind.read(rec, kCap);
+      EXPECT_TRUE(o.records.empty()) << "lie " << lie;
+      EXPECT_LE(o.max_capacity, std::size_t{kCap} * 2);
+      if (lie == 0 || lie > kCap) {
+        // Refused on the header alone, before any payload buffering.
+        EXPECT_EQ(o.end, End::kBad) << "lie " << lie;
+        EXPECT_TRUE(o.reason == sv::to_string(sv::RecordError::kOversize) ||
+                    o.reason ==
+                        sv::to_string(sv::RecordError::kEmptyPayload))
+            << o.reason;
+      } else if (lie > actual) {
+        // A claim past the bytes present is what kill -9 mid-write leaves.
+        EXPECT_EQ(o.end, End::kTorn) << "lie " << lie;
+      } else {
+        // A short claim cuts the payload the CRC was taken over.
+        EXPECT_EQ(o.end, End::kBad) << "lie " << lie;
+        EXPECT_EQ(o.reason, sv::to_string(sv::RecordError::kBadCrc));
+      }
+    }
   }
-  {
-    // A length claim larger than the remaining bytes is indistinguishable
-    // from a kill -9 mid-write: torn, not bad — the recovered prefix
-    // before it still counts.
-    const std::string rec =
-        sv::encode_wal_record(sv::WalRecordType::kHello, 1, "session 1");
-    sv::WalReader reader(std::string_view(rec).substr(0, rec.size() - 3),
-                         4096);
-    EXPECT_FALSE(reader.next().has_value());
-    EXPECT_EQ(reader.stop(), sv::WalStop::kTorn);
+}
+
+TEST(FuzzIo, PureGarbageRecordStreamsRefusedAsBadMagic) {
+  for (const RecordKindUnderTest& kind : record_kinds()) {
+    SCOPED_TRACE(kind.name);
+    cs::SplitMix64 rng(0xbadbeef);
+    for (int i = 0; i < 32; ++i) {
+      std::string junk;
+      const std::size_t len = 1 + rng.next_below(512);
+      for (std::size_t k = 0; k < len; ++k) {
+        junk.push_back(static_cast<char>(rng.next_below(256)));
+      }
+      const ReadOutcome o = kind.read(junk, 1024);
+      EXPECT_TRUE(o.records.empty());
+      if (junk.size() < sv::kRecordHeaderBytes) {
+        EXPECT_EQ(o.end, End::kTorn);
+      } else {
+        EXPECT_EQ(o.end, End::kBad);
+        EXPECT_EQ(o.reason, sv::to_string(sv::RecordError::kBadMagic));
+      }
+      EXPECT_LE(o.max_capacity, std::size_t{2048});
+    }
   }
 }
 

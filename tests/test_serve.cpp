@@ -169,6 +169,23 @@ bool file_exists(const std::string& path) {
 
 // --- wire framing -----------------------------------------------------------
 
+/// Rewrites a record's payload_len field (little-endian u32) in place.
+void set_payload_len(std::string& record, std::uint32_t len) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    record[sv::kRecordLenAt + i] = static_cast<char>(len >> (8 * i));
+  }
+}
+
+std::string to_hex(std::string_view bytes) {
+  std::string out;
+  for (const char ch : bytes) {
+    const auto b = static_cast<unsigned char>(ch);
+    out.push_back("0123456789abcdef"[b >> 4]);
+    out.push_back("0123456789abcdef"[b & 0xf]);
+  }
+  return out;
+}
+
 TEST(ServeFrame, RoundTripWholeAndByteAtATime) {
   const std::string payload = "commscope payload \x01\x02\xff bytes";
   const std::string hello = sv::encode_frame(sv::FrameType::kHello, payload);
@@ -212,7 +229,7 @@ TEST(ServeFrame, GarbagePoisonsAsBadMagic) {
   const std::string junk = "this is not a commscope frame at all........";
   EXPECT_FALSE(d.feed(junk.data(), junk.size()));
   EXPECT_TRUE(d.poisoned());
-  EXPECT_EQ(d.error(), sv::FrameError::kBadMagic);
+  EXPECT_EQ(d.error(), sv::RecordError::kBadMagic);
   // Poisoned decoders never resynchronize, even on a now-valid frame.
   const std::string ok = sv::encode_frame(sv::FrameType::kHeartbeat, {});
   EXPECT_FALSE(d.feed(ok.data(), ok.size()));
@@ -221,45 +238,79 @@ TEST(ServeFrame, GarbagePoisonsAsBadMagic) {
 
 TEST(ServeFrame, CrcBitflipPoisons) {
   std::string f = sv::encode_frame(sv::FrameType::kEpochs, "epoch document");
-  f[sv::kFrameHeaderBytes + 3] ^= 0x20;  // flip one payload bit
+  f[sv::kRecordHeaderBytes + 3] ^= 0x20;  // flip one payload bit
   sv::FrameDecoder d;
   EXPECT_FALSE(d.feed(f.data(), f.size()));
-  EXPECT_EQ(d.error(), sv::FrameError::kBadCrc);
+  EXPECT_EQ(d.error(), sv::RecordError::kBadCrc);
+}
+
+TEST(ServeFrame, HeaderBitflipFailsCrc) {
+  // The CRC covers the header's type byte: epochs (2) with bit 0 flipped
+  // reads as a valid heartbeat type, and must still be refused rather than
+  // decode as a heartbeat whose epochs are silently lost.
+  std::string f = sv::encode_frame(sv::FrameType::kEpochs, "epoch document");
+  f[sv::kRecordTypeAt] ^= 0x01;
+  sv::FrameDecoder d;
+  EXPECT_FALSE(d.feed(f.data(), f.size()));
+  EXPECT_FALSE(d.next().has_value());
+  EXPECT_EQ(d.error(), sv::RecordError::kBadCrc);
+}
+
+TEST(ServeFrame, EmptyScrapeReplyRoundTrips) {
+  // A daemon built without telemetry has no metrics: its scrape reply is
+  // empty and must still reach the scraper.
+  const std::string f = sv::encode_frame(sv::FrameType::kScrapeReply, {});
+  sv::FrameDecoder d;
+  ASSERT_TRUE(d.feed(f.data(), f.size()));
+  const auto got = d.next();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->type, sv::FrameType::kScrapeReply);
+  EXPECT_TRUE(got->payload.empty());
+}
+
+TEST(ServeFrame, GoldenRecordBytes) {
+  // Pinned encodings. The WAL record is the CSJ1 layout every existing
+  // state dir holds, so these bytes must never drift; the wire frame is
+  // CSF2 (same header, seq 0).
+  EXPECT_EQ(to_hex(sv::encode_wal_record(sv::WalRecordType::kEpochs, 5,
+                                         "session 1\nx")),
+            "43534a310200000005000000000000000b0000003aa467fa"
+            "73657373696f6e20310a78");
+  EXPECT_EQ(to_hex(sv::encode_frame(sv::FrameType::kAck, "1 accepted")),
+            "435346320700000000000000000000000a00000022cd0fdb"
+            "31206163636570746564");
 }
 
 TEST(ServeFrame, LengthPrefixLiesRejectedBeforeAllocation) {
   // Header claims 100 MiB against a 1 KiB cap: the decoder must poison on
   // the header alone, without reserving payload storage.
   std::string f = sv::encode_frame(sv::FrameType::kEpochs, "x");
-  f[8] = 0;  // rewrite payload_len (LE u32 at offset 8) to 100 MiB
-  f[9] = 0;
-  f[10] = 0x40;
-  f[11] = 0x06;
+  set_payload_len(f, 100u << 20);
   sv::FrameDecoder d(1024);
   EXPECT_FALSE(d.feed(f.data(), f.size()));
-  EXPECT_EQ(d.error(), sv::FrameError::kOversize);
+  EXPECT_EQ(d.error(), sv::RecordError::kOversize);
   EXPECT_LT(d.buffer_capacity(), std::size_t{2048});
 
   // len = 0 for a type that requires a payload is the other lie.
   std::string zero = sv::encode_frame(sv::FrameType::kEpochs, "payload");
-  zero[8] = zero[9] = zero[10] = zero[11] = 0;
+  set_payload_len(zero, 0);
   sv::FrameDecoder d2;
   EXPECT_FALSE(d2.feed(zero.data(), zero.size()));
-  EXPECT_EQ(d2.error(), sv::FrameError::kEmptyPayload);
+  EXPECT_EQ(d2.error(), sv::RecordError::kEmptyPayload);
 }
 
 TEST(ServeFrame, UnknownTypeAndReservedBytesRejected) {
   std::string f = sv::encode_frame(sv::FrameType::kHello, "hi");
-  f[4] = 42;  // unknown type
+  f[sv::kRecordTypeAt] = 42;  // unknown type
   sv::FrameDecoder d;
   EXPECT_FALSE(d.feed(f.data(), f.size()));
-  EXPECT_EQ(d.error(), sv::FrameError::kBadType);
+  EXPECT_EQ(d.error(), sv::RecordError::kBadType);
 
   std::string r = sv::encode_frame(sv::FrameType::kHello, "hi");
-  r[6] = 1;  // nonzero reserved byte
+  r[sv::kRecordTypeAt + 2] = 1;  // nonzero reserved byte
   sv::FrameDecoder d2;
   EXPECT_FALSE(d2.feed(r.data(), r.size()));
-  EXPECT_EQ(d2.error(), sv::FrameError::kBadType);
+  EXPECT_EQ(d2.error(), sv::RecordError::kBadType);
 }
 
 // --- merge + isolation ------------------------------------------------------
@@ -326,7 +377,7 @@ TEST(Serve, HostileClientDropsAloneAggregateSurvives) {
   raw_send(fd, sv::encode_frame(sv::FrameType::kHello,
                                 "commscope-hello 1 session 11 threads 4"));
   std::string bad = sv::encode_frame(sv::FrameType::kEpochs, "not epochs");
-  bad[sv::kFrameHeaderBytes + 1] ^= 0x01;
+  bad[sv::kRecordHeaderBytes + 1] ^= 0x01;
   raw_send(fd, bad);
   ::close(fd);
 
