@@ -67,17 +67,25 @@ class TraceRecorder final : public AccessSink {
 /// finalizes it.
 void replay(const std::vector<TraceEvent>& events, AccessSink& sink);
 
-/// Text serialization of a trace (one event per line, versioned header).
-/// The loop-name table of every loop UID referenced by the trace is
-/// serialized too: UIDs are process-local registry indices, so a trace
-/// replayed in another process (the CLI's `replay` subcommand) would
-/// otherwise lose its region labels.
+/// Serializes a trace as format v3: the text lines "commscope-trace 3" and
+/// the event count, then every event as one 16-byte little-endian record
+/// (the TraceEvent layout: u8 kind, u8 access, u16 tid, u32 size,
+/// u64 payload), then the loop-name table, then a "crc32 <hex>" trailer over
+/// everything before it. The table holds every loop UID the trace
+/// references, each name length-prefixed: UIDs are process-local registry
+/// indices, so a trace replayed in another process (the CLI's `replay`
+/// subcommand) would otherwise lose its region labels. Streams to `os` a
+/// chunk at a time; open files with std::ios::binary.
 void write_trace(std::ostream& os, const std::vector<TraceEvent>& events);
 
-/// Parses a trace; throws std::runtime_error on malformed input. Loop UIDs
-/// are re-declared in this process's LoopRegistry and the returned events'
-/// loop ids remapped accordingly, so labels resolve correctly wherever the
-/// trace is replayed.
+/// Parses a trace; throws std::runtime_error on malformed input. v3 events
+/// are read straight into the returned vector, never more than 2^20 events
+/// ahead of the bytes read, and a count above 2^26, a short block, a kind
+/// above 3 or an access kind above 1, a CRC mismatch and trailing bytes are
+/// all refused. The v1/v2 text formats still load. Loop UIDs are
+/// re-declared in this process's LoopRegistry, only once the file has
+/// verified, and the returned events' loop ids remapped accordingly, so
+/// labels resolve correctly wherever the trace is replayed.
 [[nodiscard]] std::vector<TraceEvent> read_trace(std::istream& is);
 
 }  // namespace commscope::instrument

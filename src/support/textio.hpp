@@ -82,6 +82,19 @@ class TokenScanner {
     return v;
   }
 
+  /// Consumes one whitespace separator, then returns the next `n` bytes
+  /// verbatim — for length-prefixed fields, which may hold any byte,
+  /// spaces and newlines included. Throws when fewer than `n` bytes remain.
+  [[nodiscard]] std::string_view next_bytes(std::size_t n, const char* what) {
+    if (p_ == end_ || !is_space(*p_) ||
+        static_cast<std::size_t>(end_ - p_ - 1) < n) {
+      fail(std::string("truncated ") + what);
+    }
+    const char* start = ++p_;
+    p_ += n;
+    return {start, n};
+  }
+
   /// Skips spaces/tabs, then captures everything up to (not including) the
   /// next newline, with a trailing '\r' trimmed — for free-text fields like
   /// labels that may themselves contain spaces.
@@ -116,14 +129,17 @@ class TokenScanner {
   const char* who_;
 };
 
+/// The "crc32 <hex>\n" trailer line for a payload whose CRC is `crc`.
+inline std::string crc_trailer(std::uint32_t crc) {
+  char line[24];
+  std::snprintf(line, sizeof line, "crc32 %08x\n", crc);
+  return line;
+}
+
 /// Appends the "crc32 <hex>" trailer line over `payload` to it, returning
 /// the complete file image.
 inline std::string with_crc_trailer(std::string payload) {
-  char hex[16];
-  std::snprintf(hex, sizeof hex, "%08x", crc32(payload));
-  payload += "crc32 ";
-  payload += hex;
-  payload += '\n';
+  payload += crc_trailer(crc32(payload));
   return payload;
 }
 

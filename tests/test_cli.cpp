@@ -1,10 +1,13 @@
 // Integration tests for the `commscope` CLI binary. The binary path arrives
 // as the first non-gtest argument (wired in tests/CMakeLists.txt); each test
-// shells out and checks exit codes and output files.
+// shells out and checks exit codes and output files. Every file, socket and
+// state directory a test names lives in one private temporary directory per
+// process, removed at exit, so concurrent or leftover runs never share one.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,6 +15,17 @@
 namespace {
 
 std::string g_cli;  // set in main()
+std::string g_dir;  // set in main()
+
+/// Path of `name` inside this process's temporary directory.
+std::string tmp(const std::string& name) { return g_dir + "/" + name; }
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 struct RunResult {
   int exit_code = -1;
@@ -67,7 +81,7 @@ TEST(Cli, UnknownFlagRejected) {
 }
 
 TEST(Cli, ClassifyRoundTripThroughSavedMatrix) {
-  const std::string matrix = "/tmp/commscope_cli_test.matrix";
+  const std::string matrix = tmp("test.matrix");
   const RunResult save =
       run_cli("run ocean_cp --threads=4 --save-matrix=" + matrix);
   ASSERT_EQ(save.exit_code, 0);
@@ -78,20 +92,27 @@ TEST(Cli, ClassifyRoundTripThroughSavedMatrix) {
 }
 
 TEST(Cli, TraceRecordAndReplay) {
-  const std::string trace = "/tmp/commscope_cli_test.trace";
-  const RunResult save =
-      run_cli("run radix --threads=4 --save-trace=" + trace);
-  ASSERT_EQ(save.exit_code, 0);
+  // The whole CLI round trip: the matrix a recorded run reports and the one
+  // its saved trace replays to must be the same bytes.
+  const std::string trace = tmp("test.trace");
+  const std::string live = tmp("live.matrix");
+  const std::string replayed = tmp("replayed.matrix");
+  const RunResult save = run_cli("run radix --threads=4 --save-trace=" +
+                                 trace + " --save-matrix=" + live);
+  ASSERT_EQ(save.exit_code, 0) << save.output;
   EXPECT_NE(save.output.find("events written"), std::string::npos);
-  const RunResult replay = run_cli("replay " + trace + " --backend=exact");
-  EXPECT_EQ(replay.exit_code, 0);
+  const RunResult replay =
+      run_cli("replay " + trace + " --save-matrix=" + replayed);
+  EXPECT_EQ(replay.exit_code, 0) << replay.output;
   EXPECT_NE(replay.output.find("replayed"), std::string::npos);
   EXPECT_NE(replay.output.find("radix:permute"), std::string::npos);
-  std::remove(trace.c_str());
+  const std::string a = file_bytes(live);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, file_bytes(replayed));
 }
 
 TEST(Cli, MapPlansPlacementFromMatrix) {
-  const std::string matrix = "/tmp/commscope_cli_map.matrix";
+  const std::string matrix = tmp("map.matrix");
   ASSERT_EQ(run_cli("run ocean_cp --threads=4 --save-matrix=" + matrix)
                 .exit_code,
             0);
@@ -111,7 +132,7 @@ TEST(Cli, DvfsPlanFromPhases) {
 }
 
 TEST(Cli, CsvExportHasSchema) {
-  const std::string csv = "/tmp/commscope_cli_test.csv";
+  const std::string csv = tmp("test.csv");
   ASSERT_EQ(run_cli("run lu_cb --threads=4 --csv=" + csv).exit_code, 0);
   std::ifstream in(csv);
   ASSERT_TRUE(in.good());
@@ -147,7 +168,7 @@ TEST(CliErrors, MalformedFlagValueIsUsageError) {
 }
 
 TEST(CliErrors, CorruptMatrixFileFailsWithDiagnostic) {
-  const std::string path = "/tmp/commscope_cli_corrupt.matrix";
+  const std::string path = tmp("corrupt.matrix");
   {
     std::ofstream out(path);
     out << "commscope-matrix 2\n2\n0 1\n2 3\ncrc32 deadbeef\n";
@@ -175,8 +196,8 @@ TEST(CliResilience, EventBudgetRunCompletesAndLogsSuppression) {
 }
 
 TEST(CliResilience, InjectedCrashLeavesResumableCheckpoint) {
-  const std::string trace = "/tmp/commscope_cli_kill.trace";
-  const std::string ck = "/tmp/commscope_cli_kill.ck";
+  const std::string trace = tmp("kill.trace");
+  const std::string ck = tmp("kill.ck");
   ASSERT_EQ(run_cli("run radix --threads=4 --save-trace=" + trace).exit_code,
             0);
   const RunResult killed =
@@ -196,8 +217,8 @@ TEST(CliResilience, InjectedCrashLeavesResumableCheckpoint) {
 }
 
 TEST(CliResilience, WatchdogTimesOutWithResumableCheckpoint) {
-  const std::string trace = "/tmp/commscope_cli_hang.trace";
-  const std::string ck = "/tmp/commscope_cli_hang.ck";
+  const std::string trace = tmp("hang.trace");
+  const std::string ck = tmp("hang.ck");
   ASSERT_EQ(run_cli("run radix --threads=4 --save-trace=" + trace).exit_code,
             0);
   const RunResult hung =
@@ -215,7 +236,7 @@ TEST(CliResilience, WatchdogTimesOutWithResumableCheckpoint) {
 }
 
 TEST(CliResilience, CleanCheckpointedRunResumesAsComplete) {
-  const std::string ck = "/tmp/commscope_cli_clean.ck";
+  const std::string ck = tmp("clean.ck");
   ASSERT_EQ(
       run_cli("run fft --threads=4 --checkpoint=" + ck).exit_code, 0);
   const RunResult resumed = run_cli("resume " + ck + " --pattern");
@@ -228,7 +249,7 @@ TEST(CliResilience, CleanCheckpointedRunResumesAsComplete) {
 // --- observability: --quiet, --trace-out/--metrics-out, metrics, top -------
 
 TEST(CliObservability, QuietSuppressesReportButFilesStillWritten) {
-  const std::string metrics = "/tmp/commscope_cli_quiet.metrics";
+  const std::string metrics = tmp("quiet.metrics");
   const RunResult r =
       run_cli("run fft --threads=4 -q --metrics-out=" + metrics);
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -244,8 +265,8 @@ TEST(CliObservability, QuietSuppressesReportButFilesStillWritten) {
 }
 
 TEST(CliObservability, RunEmitsTraceJsonAndMetricsSnapshot) {
-  const std::string trace = "/tmp/commscope_cli_obs.trace.json";
-  const std::string metrics = "/tmp/commscope_cli_obs.metrics";
+  const std::string trace = tmp("obs.trace.json");
+  const std::string metrics = tmp("obs.metrics");
   // --mem-budget=1K forces the degradation ladder, so the trace must carry
   // degradation instants next to the loop spans and the metrics snapshot
   // must agree with the report's provenance section.
@@ -279,8 +300,8 @@ TEST(CliObservability, RunEmitsTraceJsonAndMetricsSnapshot) {
 }
 
 TEST(CliObservability, MetricsAggregatesSnapshots) {
-  const std::string m1 = "/tmp/commscope_cli_m1.metrics";
-  const std::string m2 = "/tmp/commscope_cli_m2.metrics";
+  const std::string m1 = tmp("m1.metrics");
+  const std::string m2 = tmp("m2.metrics");
   ASSERT_EQ(run_cli("run fft --threads=4 -q --metrics-out=" + m1).exit_code,
             0);
   ASSERT_EQ(run_cli("run radix --threads=4 -q --metrics-out=" + m2).exit_code,
@@ -293,7 +314,7 @@ TEST(CliObservability, MetricsAggregatesSnapshots) {
   EXPECT_EQ(none.exit_code, 2);
   EXPECT_NE(none.output.find("snapshot files"), std::string::npos);
 
-  const std::string corrupt = "/tmp/commscope_cli_corrupt.metrics";
+  const std::string corrupt = tmp("corrupt.metrics");
   {
     std::ofstream out(corrupt);
     out << "# commscope-metrics v1\ncounter x notanumber\n";
@@ -315,13 +336,12 @@ TEST(CliObservability, TopRunsToCompletion) {
 
 TEST(CliObservability, TopConnectToDeadDaemonFails) {
   const RunResult r =
-      run_cli("top --connect=/tmp/commscope_cli_no_daemon.sock"
-              " --interval=50");
+      run_cli("top --connect=" + tmp("no_daemon.sock") + " --interval=50");
   EXPECT_EQ(r.exit_code, 1) << r.output;
 }
 
 TEST(CliObservability, MetricsPrometheusIsPureExposition) {
-  const std::string m = "/tmp/commscope_cli_prom.metrics";
+  const std::string m = tmp("prom.metrics");
   ASSERT_EQ(run_cli("run fft --threads=4 -q --metrics-out=" + m).exit_code,
             0);
   const RunResult prom = run_cli("metrics --prometheus " + m);
@@ -341,10 +361,10 @@ TEST(CliObservability, TraceMergeStitchesFilesAndRejectsBadInput) {
   EXPECT_EQ(run_cli("trace").exit_code, 2);
   EXPECT_EQ(run_cli("trace --merge").exit_code, 2);
 
-  const std::string tj = "/tmp/commscope_cli_tm.trace.json";
+  const std::string tj = tmp("tm.trace.json");
   ASSERT_EQ(
       run_cli("run fft --threads=4 -q --trace-out=" + tj).exit_code, 0);
-  const std::string merged = "/tmp/commscope_cli_tm.merged.json";
+  const std::string merged = tmp("tm.merged.json");
   const RunResult r = run_cli("trace --merge " + tj + " --out=" + merged);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("merged 1 trace(s)"), std::string::npos)
@@ -355,7 +375,7 @@ TEST(CliObservability, TraceMergeStitchesFilesAndRejectsBadInput) {
   mbuf << min.rdbuf();
   EXPECT_NE(mbuf.str().find("\"mergedFiles\":1"), std::string::npos);
 
-  const std::string junk = "/tmp/commscope_cli_tm.junk";
+  const std::string junk = tmp("tm.junk");
   {
     std::ofstream out(junk);
     out << "this is not a trace\n";
@@ -371,7 +391,7 @@ TEST(CliObservability, TraceMergeStitchesFilesAndRejectsBadInput) {
 TEST(CliObservability, HealthExitContractOkBreachUsageDeadSocket) {
   EXPECT_EQ(run_cli("health").exit_code, 2);  // no inputs: usage
 
-  const std::string okf = "/tmp/commscope_cli_health_ok.metrics";
+  const std::string okf = tmp("health_ok.metrics");
   {
     std::ofstream out(okf);
     out << "# commscope-metrics v1\n"
@@ -381,7 +401,7 @@ TEST(CliObservability, HealthExitContractOkBreachUsageDeadSocket) {
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
   EXPECT_NE(ok.output.find("health: ok"), std::string::npos);
 
-  const std::string badf = "/tmp/commscope_cli_health_bad.metrics";
+  const std::string badf = tmp("health_bad.metrics");
   {
     std::ofstream out(badf);
     out << "# commscope-metrics v1\n"
@@ -395,7 +415,7 @@ TEST(CliObservability, HealthExitContractOkBreachUsageDeadSocket) {
       << breach.output;
 
   const RunResult dead =
-      run_cli("health --connect=/tmp/commscope_cli_no_daemon.sock");
+      run_cli("health --connect=" + tmp("no_daemon.sock"));
   EXPECT_EQ(dead.exit_code, 1) << dead.output;
   std::remove(okf.c_str());
   std::remove(badf.c_str());
@@ -436,7 +456,7 @@ TEST(CliErrors, FlagsAreScopedToTheirCommands) {
 // --- flight recorder: epochs, report, diff ----------------------------------
 
 TEST(CliRecorder, RunWritesEpochsAndReportRendersAllFormats) {
-  const std::string epochs = "/tmp/commscope_cli_rec.epochs";
+  const std::string epochs = tmp("rec.epochs");
   const RunResult r = run_cli("run fft --threads=4 --epoch-every=2000"
                               " --epochs-out=" + epochs);
   ASSERT_EQ(r.exit_code, 0) << r.output;
@@ -451,7 +471,7 @@ TEST(CliRecorder, RunWritesEpochsAndReportRendersAllFormats) {
   EXPECT_EQ(json.exit_code, 0) << json.output;
   EXPECT_NE(json.output.find("\"epochs\":["), std::string::npos);
 
-  const std::string html = "/tmp/commscope_cli_rec.html";
+  const std::string html = tmp("rec.html");
   const RunResult page =
       run_cli("report " + epochs + " --format=html --out=" + html);
   EXPECT_EQ(page.exit_code, 0) << page.output;
@@ -469,7 +489,7 @@ TEST(CliRecorder, RunWritesEpochsAndReportRendersAllFormats) {
 }
 
 TEST(CliRecorder, DiffOfARunAgainstItselfIsCleanExitZero) {
-  const std::string epochs = "/tmp/commscope_cli_selfdiff.epochs";
+  const std::string epochs = tmp("selfdiff.epochs");
   ASSERT_EQ(run_cli("run fft --threads=4 --epoch-every=2000 --epochs-out=" +
                     epochs).exit_code,
             0);
@@ -480,8 +500,8 @@ TEST(CliRecorder, DiffOfARunAgainstItselfIsCleanExitZero) {
 }
 
 TEST(CliRecorder, DiffFlagsChangedCommunicationExitThree) {
-  const std::string a = "/tmp/commscope_cli_diff_a.matrix";
-  const std::string b = "/tmp/commscope_cli_diff_b.matrix";
+  const std::string a = tmp("diff_a.matrix");
+  const std::string b = tmp("diff_b.matrix");
   ASSERT_EQ(run_cli("run fft --threads=4 -q --save-matrix=" + a).exit_code, 0);
   ASSERT_EQ(run_cli("run radix --threads=4 -q --save-matrix=" + b).exit_code,
             0);
@@ -497,9 +517,9 @@ TEST(CliRecorder, DiffFlagsChangedCommunicationExitThree) {
 }
 
 TEST(CliRecorder, ReplayReSliceIsBitIdenticalAtAnyBatchSize) {
-  const std::string trace = "/tmp/commscope_cli_reslice.trace";
-  const std::string ea = "/tmp/commscope_cli_reslice_a.epochs";
-  const std::string eb = "/tmp/commscope_cli_reslice_b.epochs";
+  const std::string trace = tmp("reslice.trace");
+  const std::string ea = tmp("reslice_a.epochs");
+  const std::string eb = tmp("reslice_b.epochs");
   ASSERT_EQ(run_cli("run radix --threads=4 -q --save-trace=" + trace)
                 .exit_code,
             0);
@@ -525,7 +545,7 @@ TEST(CliRecorder, ReplayReSliceIsBitIdenticalAtAnyBatchSize) {
 }
 
 TEST(CliRecorder, CheckpointWritesEpochSidecar) {
-  const std::string ck = "/tmp/commscope_cli_sidecar.ck";
+  const std::string ck = tmp("sidecar.ck");
   const RunResult r = run_cli("run fft --threads=4 -q --epoch-every=2000"
                               " --checkpoint=" + ck);
   ASSERT_EQ(r.exit_code, 0) << r.output;
@@ -537,8 +557,8 @@ TEST(CliRecorder, CheckpointWritesEpochSidecar) {
 }
 
 TEST(CliRecorder, BenchDiffGateCatchesInjectedRegression) {
-  const std::string base = "/tmp/commscope_cli_bench_base.json";
-  const std::string slow = "/tmp/commscope_cli_bench_slow.json";
+  const std::string base = tmp("bench_base.json");
+  const std::string slow = tmp("bench_slow.json");
   {
     std::ofstream out(base);
     out << "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
@@ -565,15 +585,15 @@ TEST(CliRecorder, BenchDiffGateCatchesInjectedRegression) {
 }
 
 TEST(CliRecorder, DiffRejectsMixedAndUnknownFormats) {
-  const std::string m = "/tmp/commscope_cli_mixed.matrix";
-  const std::string e = "/tmp/commscope_cli_mixed.epochs";
+  const std::string m = tmp("mixed.matrix");
+  const std::string e = tmp("mixed.epochs");
   ASSERT_EQ(run_cli("run fft --threads=4 -q --save-matrix=" + m +
                     " --epoch-every=2000 --epochs-out=" + e).exit_code,
             0);
   const RunResult mixed = run_cli("diff " + m + " " + e);
   EXPECT_EQ(mixed.exit_code, 1) << mixed.output;
   EXPECT_NE(mixed.output.find("cannot compare"), std::string::npos);
-  const std::string junk = "/tmp/commscope_cli_junk.txt";
+  const std::string junk = tmp("junk.txt");
   {
     std::ofstream out(junk);
     out << "hello world\n";
@@ -602,14 +622,14 @@ TEST(CliServe, UnbindableSocketPathFailsWithDiagnostic) {
 
 TEST(CliServe, ScrapeAgainstDeadDaemonFails) {
   const RunResult r =
-      run_cli("serve --socket=/tmp/commscope_cli_nobody.sock --scrape");
+      run_cli("serve --socket=" + tmp("nobody.sock") + " --scrape");
   EXPECT_EQ(r.exit_code, 1) << r.output;
 }
 
 TEST(CliServe, RunShipsToDaemonAndMergedTimelineRenders) {
-  const std::string socket = "/tmp/commscope_cli_serve.sock";
-  const std::string merged = "/tmp/commscope_cli_serve.epochs";
-  const std::string metrics = "/tmp/commscope_cli_serve.metrics";
+  const std::string socket = tmp("serve.sock");
+  const std::string merged = tmp("serve.epochs");
+  const std::string metrics = tmp("serve.metrics");
   std::remove(socket.c_str());
 
   // Background daemon: exits on its own once the single shipped session
@@ -649,7 +669,7 @@ TEST(CliServe, RunShipsToDaemonAndMergedTimelineRenders) {
 
 TEST(CliServe, BogusFsyncPolicyIsUsageError) {
   const RunResult r =
-      run_cli("serve --socket=/tmp/commscope_cli_fsync.sock --fsync=bogus");
+      run_cli("serve --socket=" + tmp("fsync.sock") + " --fsync=bogus");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("per-ack"), std::string::npos) << r.output;
 }
@@ -660,8 +680,8 @@ TEST(CliServe, SignalDrainExitsZeroAndLeavesSnapshot) {
   // on. A non-zero exit here means the handler path regressed to the
   // default die-by-signal disposition.
   for (const std::string sig : {"TERM", "INT"}) {
-    const std::string socket = "/tmp/commscope_cli_drain_" + sig + ".sock";
-    const std::string state = "/tmp/commscope_cli_drain_" + sig + ".state";
+    const std::string socket = tmp("drain_") + sig + ".sock";
+    const std::string state = tmp("drain_") + sig + ".state";
     const std::string status = state + ".exit";
     std::remove(socket.c_str());
     std::remove(status.c_str());
@@ -692,5 +712,14 @@ int main(int argc, char** argv) {
   } else {
     g_cli = "./build/tools/commscope";  // manual-invocation fallback
   }
-  return RUN_ALL_TESTS();
+  char dir[] = "/tmp/commscope_cli_XXXXXX";
+  if (::mkdtemp(dir) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  g_dir = dir;
+  const int rc = RUN_ALL_TESTS();
+  std::error_code ec;
+  std::filesystem::remove_all(g_dir, ec);
+  return rc;
 }

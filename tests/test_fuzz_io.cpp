@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,6 +40,30 @@ namespace cc = commscope::core;
 namespace ci = commscope::instrument;
 namespace cr = commscope::resilience;
 namespace cs = commscope::support;
+
+// --- allocation watching -----------------------------------------------------
+//
+// Global operator new override recording, per thread, the largest single
+// request since the last reset: a loader that trusts a declared count shows
+// up as one allocation sized by the lie.
+namespace {
+thread_local std::size_t tl_largest_alloc = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  tl_largest_alloc = std::max(tl_largest_alloc, size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  tl_largest_alloc = std::max(tl_largest_alloc, size);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -140,6 +166,50 @@ TEST(FuzzIo, DamagedTraceFilesNeverCrash) {
     }
   }
   EXPECT_EQ(rejected, kIterations);
+}
+
+TEST(FuzzIo, TraceCountLiesNeverOverAllocate) {
+  // A v3 trace whose count line claims more (or fewer) events than its
+  // block holds must be refused, and may not allocate more than read_trace's
+  // 2^20-event reserve ahead of the bytes actually read.
+  constexpr std::size_t kReserveBytes = (std::size_t{1} << 20) * 16;
+  const std::string original = valid_trace_file();
+  const std::size_t count_at = original.find('\n') + 1;
+  const std::size_t count_end = original.find('\n', count_at);
+  const std::uint64_t actual =
+      std::stoull(original.substr(count_at, count_end - count_at));
+  std::vector<std::string> lies = {"0",
+                                   "1",
+                                   std::to_string(actual - 1),
+                                   std::to_string(actual + 1),
+                                   std::to_string(2 * actual),
+                                   std::to_string(1u << 20),
+                                   std::to_string((1u << 20) + 1),
+                                   std::to_string(1u << 26),
+                                   std::to_string((1u << 26) + 1),
+                                   "18446744073709551615",
+                                   "99999999999999999999",
+                                   "-1",
+                                   ""};
+  cs::SplitMix64 rng(0x1e5c0de);
+  for (int i = 0; i < 32; ++i) {
+    lies.push_back(std::to_string(rng.next_below(1u << 26)));
+  }
+  for (const std::string& lie : lies) {
+    std::string file = original;
+    file.replace(count_at, count_end - count_at, lie);
+    std::stringstream ss(file);
+    tl_largest_alloc = 0;
+    EXPECT_THROW((void)ci::read_trace(ss), std::runtime_error) << lie;
+    EXPECT_LE(tl_largest_alloc, kReserveBytes) << lie;
+    // The file itself is a few KiB: nothing near the claimed block size
+    // was allocated.
+    if (lie.size() > 7) {
+      EXPECT_LT(static_cast<double>(tl_largest_alloc),
+                16 * std::strtod(lie.c_str(), nullptr))
+          << lie;
+    }
+  }
 }
 
 TEST(FuzzIo, DamagedCheckpointFilesAlwaysThrowCleanly) {

@@ -613,7 +613,7 @@ int cmd_run(const cs::ArgParser& args) {
       std::cerr << w->name << ": verification FAILED\n";
       return 1;
     }
-    std::ofstream out(args.get("save-trace"));
+    std::ofstream out(args.get("save-trace"), std::ios::binary);
     if (!out) {
       std::cerr << "cannot write " << args.get("save-trace") << "\n";
       return 1;
@@ -659,7 +659,7 @@ int cmd_run(const cs::ArgParser& args) {
 
 int cmd_replay(const cs::ArgParser& args) {
   if (args.positional().size() < 2) return usage();
-  std::ifstream in(args.positional()[1]);
+  std::ifstream in(args.positional()[1], std::ios::binary);
   if (!in) {
     std::cerr << "cannot read " << args.positional()[1] << "\n";
     return 1;
