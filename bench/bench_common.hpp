@@ -2,12 +2,16 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/profiler.hpp"
 #include "instrument/loop_registry.hpp"
@@ -113,6 +117,85 @@ inline void print_perf_grounding(const core::Profiler& profiler,
   if (d.multiplexed) os << "  [multiplex-scaled]";
   os << "\n";
 }
+
+/// Repetitions per measured configuration for the benches that report a
+/// best-of (ingest_throughput, serve_durability): $COMMSCOPE_BENCH_REPS when
+/// it is a whole number from 1 to 1000, else 5.
+inline int bench_reps() {
+  const std::int64_t v = support::env_int("COMMSCOPE_BENCH_REPS", 5);
+  return v >= 1 && v <= 1000 ? static_cast<int>(v) : 5;
+}
+
+/// Which way a bench point improves.
+enum class Better { kHigher, kLower };
+
+/// One bench run in the schema `commscope diff --bench` reads (README,
+/// "commscope diff"): the bench name, the provenance two runs must share to
+/// be compared, and named points. Every bench with a committed
+/// bench/BENCH_*.json baseline writes through this one writer. Names, units
+/// and provenance strings are bench-chosen identifiers, written unescaped.
+class BenchJson {
+ public:
+  explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
+
+  void provenance(const std::string& key, const std::string& value) {
+    provenance_.push_back("\"" + key + "\": \"" + value + "\"");
+  }
+  void provenance(const std::string& key, std::uint64_t value) {
+    provenance_.push_back("\"" + key + "\": " + std::to_string(value));
+  }
+
+  /// A named point. A fresh run whose value is past `bound` (below it for
+  /// Better::kHigher, above it for kLower) fails the gate outright.
+  void point(std::string name, std::string unit, double value, Better better,
+             std::optional<double> bound = std::nullopt) {
+    points_.push_back(
+        {std::move(name), std::move(unit), value, better, bound});
+  }
+
+  /// Writes the document to $COMMSCOPE_BENCH_OUT, or `default_path` when
+  /// that is unset, and exits 1 when the file cannot be written completely:
+  /// a perf gate must never diff a missing or partial file.
+  void write(const std::string& default_path) const {
+    std::ostringstream doc;
+    doc << "{\n  \"bench\": \"" << bench_ << "\",\n  \"provenance\": {";
+    for (std::size_t i = 0; i < provenance_.size(); ++i) {
+      doc << (i == 0 ? "" : ", ") << provenance_[i];
+    }
+    doc << "},\n  \"points\": [\n";
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      const Point& p = points_[i];
+      doc << "    {\"name\": \"" << p.name << "\", \"unit\": \"" << p.unit
+          << "\", \"value\": " << p.value << ", \"better\": \""
+          << (p.better == Better::kHigher ? "higher" : "lower") << "\"";
+      if (p.bound) doc << ", \"bound\": " << *p.bound;
+      doc << (i + 1 < points_.size() ? "},\n" : "}\n");
+    }
+    doc << "  ]\n}\n";
+    const std::string path =
+        support::env_str("COMMSCOPE_BENCH_OUT", default_path);
+    std::ofstream out(path, std::ios::binary);
+    out << doc.str();
+    out.close();  // flushes, so a short write shows up in the stream state
+    if (!out) {
+      std::cerr << "cannot write " << path << "\n";
+      std::exit(1);
+    }
+    std::cout << "wrote " << path << "\n";
+  }
+
+ private:
+  struct Point {
+    std::string name;
+    std::string unit;
+    double value;
+    Better better;
+    std::optional<double> bound;
+  };
+  std::string bench_;
+  std::vector<std::string> provenance_;  ///< rendered `"key": value` pairs
+  std::vector<Point> points_;
+};
 
 /// Standard bench banner with the effective configuration.
 inline void banner(const char* title, int threads, support::Scale scale) {

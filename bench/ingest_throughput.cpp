@@ -13,8 +13,10 @@
 // resulting matrices must be BIT-IDENTICAL to the unbatched run — the sweep
 // verifies that for every batch size before reporting a single number.
 //
-// Output: a human table plus BENCH_ingest.json (events/sec per batch size,
-// speedup vs unbatched). $COMMSCOPE_BENCH_OUT overrides the JSON path.
+// Output: a human table plus BENCH_ingest.json (bench_common.hpp's schema:
+// provenance scale/threads/simd/events; points batch_N.events_per_sec per
+// sweep size and batch_64.speedup, bound 1.0 — batching must beat inline
+// ingest). $COMMSCOPE_BENCH_OUT overrides the JSON path.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -182,11 +184,7 @@ int main() {
   // per-config minimum — the interference-free estimate — is reported.
   // $COMMSCOPE_BENCH_REPS lowers/raises the rep count (CI runs fewer reps
   // to keep the perf gate fast; the committed baseline uses the default).
-  const int reps = [] {
-    const char* env = std::getenv("COMMSCOPE_BENCH_REPS");
-    const int v = (env != nullptr && *env != '\0') ? std::atoi(env) : 0;
-    return v > 0 ? v : 5;
-  }();
+  const int reps = cb::bench_reps();
 
   auto run_once = [&](std::uint32_t batch, double& seconds) {
     auto prof = cb::make_profiler(threads);
@@ -211,68 +209,38 @@ int main() {
     }
   }
 
-  double base_rate = 0.0;
+  cb::BenchJson json("ingest_throughput");
+  json.provenance("scale", cs::to_string(scale));
+  json.provenance("threads", static_cast<std::uint64_t>(threads));
+  json.provenance("simd", cs::simd_level_name());
+  json.provenance("events", events);
   cs::Table table(
       {"batch", "best (ms)", "events/sec", "speedup", "bit-identical"});
-  struct Point {
-    std::uint32_t batch;
-    double seconds;
-    double rate;
-    double speedup;
-    bool identical;
-  };
-  std::vector<Point> points;
+  const double base_rate = static_cast<double>(events) / best[0];
+  double at64 = 0.0;
   bool all_identical = true;
-
   for (std::size_t i = 0; i < kConfigs; ++i) {
     const std::uint32_t batch = sweep[i];
     const double rate = static_cast<double>(events) / best[i];
-    if (batch == 0) base_rate = rate;
-    const bool same = batch == 0 || identical(*result[0], *result[i]);
+    const bool same = i == 0 || identical(*result[0], *result[i]);
     all_identical = all_identical && same;
     const double speedup = rate / base_rate;
-    points.push_back(Point{batch, best[i], rate, speedup, same});
+    if (batch == 64) at64 = speedup;
+    json.point("batch_" + std::to_string(batch) + ".events_per_sec",
+               "events/s", rate, cb::Better::kHigher);
     table.add_row({std::to_string(batch), cs::Table::num(best[i] * 1e3, 2),
                    cs::Table::num(rate / 1e6, 2) + "M",
                    cs::Table::num(speedup, 2) + "x", same ? "yes" : "NO"});
   }
   table.print(std::cout);
+  json.point("batch_64.speedup", "x", at64, cb::Better::kHigher, 1.0);
 
-  double at64 = 0.0;
-  for (const Point& p : points) {
-    if (p.batch == 64) at64 = p.speedup;
-  }
   std::cout << "\nspeedup at batch 64: " << cs::Table::num(at64, 2)
             << "x (target >= 2x); matrices "
             << (all_identical ? "bit-identical across the sweep"
                               : "DIVERGED — batching bug")
             << "\n";
-
-  const char* out_env = std::getenv("COMMSCOPE_BENCH_OUT");
-  const std::string out_path =
-      (out_env != nullptr && *out_env != '\0') ? out_env : "BENCH_ingest.json";
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  out << "{\n  \"bench\": \"ingest_throughput\",\n"
-      << "  \"workloads\": [\"fft\", \"ocean_cp\", \"water_nsq\"],\n"
-      << "  \"scale\": \"" << cs::to_string(scale) << "\",\n"
-      << "  \"recorded_threads\": " << threads << ",\n"
-      << "  \"simd\": \"" << cs::simd_level_name() << "\",\n"
-      << "  \"events\": " << events << ",\n"
-      << "  \"all_bit_identical\": " << (all_identical ? "true" : "false")
-      << ",\n  \"speedup_at_64\": " << at64 << ",\n  \"sweep\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    out << "    {\"batch\": " << p.batch << ", \"seconds\": " << p.seconds
-        << ", \"events_per_sec\": " << p.rate << ", \"speedup\": " << p.speedup
-        << ", \"bit_identical\": " << (p.identical ? "true" : "false") << "}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << out_path << "\n";
+  json.write("BENCH_ingest.json");
 
   return all_identical ? 0 : 1;
 }

@@ -145,123 +145,156 @@ TimelineDiff diff_matrices(const Matrix& a, const Matrix& b,
 
 namespace {
 
-/// Finds the numeric value of `"key":` after position `from`; returns the
-/// position past the number, or npos when absent.
-std::size_t find_number(const std::string& text, const std::string& key,
-                        std::size_t from, double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return std::string::npos;
-  std::size_t pos = at + needle.size();
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str() + pos, &end);
-  if (end == text.c_str() + pos) return std::string::npos;
-  *out = v;
-  return static_cast<std::size_t>(end - text.c_str());
+/// Cursor over the JSON the benches write (bench/bench_common.hpp): objects,
+/// arrays, unescaped strings and numbers. Anything else throws.
+struct JsonCursor {
+  const std::string& s;
+  std::size_t pos = 0;
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("bench json: " + what + " at byte " +
+                             std::to_string(pos));
+  }
+  /// Skips whitespace; true when the text ends there.
+  bool at_end() {
+    pos = std::min(s.find_first_not_of(" \t\r\n", pos), s.size());
+    return pos == s.size();
+  }
+  bool consume(char c) {
+    const bool hit = !at_end() && s[pos] == c;
+    pos += hit ? 1 : 0;
+    return hit;
+  }
+  void expect(char c) {
+    if (!consume(c)) fail(std::string("expected '") + c + "'");
+  }
+  /// A string's contents, or the text of a bare (number) token.
+  std::string scalar() {
+    const bool quoted = consume('"');
+    const std::size_t from = pos;
+    const std::size_t end =
+        s.find_first_of(quoted ? "\"" : ",:]} \t\r\n", from);
+    if (end == std::string::npos || (!quoted && end == from)) fail("no value");
+    pos = end + (quoted ? 1 : 0);
+    return s.substr(from, end - from);
+  }
+  double number() {
+    const std::string text = scalar();
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v)) fail("bad number");
+    return v;
+  }
+  /// `open item (, item)* close`, calling `item()` for each.
+  template <class Fn>
+  void list(char open, char close, Fn item) {
+    expect(open);
+    if (consume(close)) return;
+    do item(); while (consume(','));
+    expect(close);
+  }
+  /// An object: `member(key)` runs with the cursor on each member's value.
+  template <class Fn>
+  void object(Fn member) {
+    list('{', '}', [&] {
+      const std::string key = scalar();
+      expect(':');
+      member(key);
+    });
+  }
+};
+
+struct Point {
+  std::string name, unit, better;
+  double value = std::nan("");
+  std::optional<double> bound;
+};
+
+struct BenchFile {
+  std::string bench;
+  std::string provenance;  ///< " key=value" per entry, in file order
+  std::vector<Point> points;
+};
+
+BenchFile parse_bench(const std::string& text) {
+  BenchFile f;
+  JsonCursor in{text};
+  in.object([&](const std::string& key) {
+    if (key == "bench") {
+      f.bench = in.scalar();
+    } else if (key == "provenance") {
+      in.object([&](const std::string& k) {
+        f.provenance += " " + k + "=" + in.scalar();
+      });
+    } else if (key == "points") {
+      in.list('[', ']', [&] {
+        Point& p = f.points.emplace_back();
+        in.object([&](const std::string& k) {
+          if (k == "name") p.name = in.scalar();
+          else if (k == "unit") p.unit = in.scalar();
+          else if (k == "better") p.better = in.scalar();
+          else if (k == "value") p.value = in.number();
+          else if (k == "bound") p.bound = in.number();
+          else in.fail("unknown point key '" + k + "'");
+        });
+        if (p.name.empty() || std::isnan(p.value) ||
+            (p.better != "higher" && p.better != "lower")) {
+          in.fail("a point needs a name, a value and better: higher|lower");
+        }
+      });
+    } else {
+      in.fail("not a commscope bench file (unknown key '" + key + "')");
+    }
+  });
+  if (!in.at_end()) in.fail("trailing data");
+  if (f.bench.empty() || f.points.empty()) {
+    in.fail("not a commscope bench file (no bench name or points)");
+  }
+  return f;
 }
 
 }  // namespace
 
-std::vector<BenchPoint> parse_bench_json(const std::string& text) {
-  if (text.find("\"bench\"") == std::string::npos ||
-      text.find("\"sweep\"") == std::string::npos) {
-    throw std::runtime_error(
-        "bench json: not a commscope bench file (missing bench/sweep keys)");
-  }
-  const std::size_t sweep = text.find("\"sweep\"");
-  std::vector<BenchPoint> points;
-  std::size_t pos = sweep;
-  for (;;) {
-    BenchPoint p;
-    double batch = 0.0;
-    const std::size_t after_batch = find_number(text, "batch", pos, &batch);
-    if (after_batch == std::string::npos) break;
-    double rate = 0.0;
-    const std::size_t after_rate =
-        find_number(text, "events_per_sec", after_batch, &rate);
-    if (after_rate == std::string::npos) {
-      throw std::runtime_error("bench json: sweep point missing events_per_sec");
-    }
-    double speedup = 0.0;
-    const std::size_t after_speedup =
-        find_number(text, "speedup", after_rate, &speedup);
-    p.batch = static_cast<std::uint32_t>(batch);
-    p.events_per_sec = rate;
-    p.speedup = speedup;
-    points.push_back(p);
-    pos = after_speedup == std::string::npos ? after_rate : after_speedup;
-    if (points.size() > 4096) {
-      throw std::runtime_error("bench json: implausible sweep size");
-    }
-  }
-  if (points.empty()) {
-    throw std::runtime_error("bench json: no sweep points found");
-  }
-  return points;
-}
-
 BenchDiff diff_bench(const std::string& baseline_json,
-                     const std::string& fresh_json, double max_regression,
-                     BenchFloor floor) {
-  const std::vector<BenchPoint> base = parse_bench_json(baseline_json);
-  const std::vector<BenchPoint> fresh = parse_bench_json(fresh_json);
+                     const std::string& fresh_json, double max_regression) {
+  const BenchFile base = parse_bench(baseline_json);
+  const BenchFile fresh = parse_bench(fresh_json);
+  if (base.bench != fresh.bench || base.provenance != fresh.provenance) {
+    throw std::runtime_error("bench diff: cannot compare bench " + base.bench +
+                             base.provenance + " with bench " + fresh.bench +
+                             fresh.provenance);
+  }
   BenchDiff d;
-  int worst_batch = -1;
-  double worst_change = 0.0;
-  for (const BenchPoint& b : base) {
-    const auto it =
-        std::find_if(fresh.begin(), fresh.end(),
-                     [&](const BenchPoint& f) { return f.batch == b.batch; });
-    if (it == fresh.end()) continue;
-    BenchDelta delta;
-    delta.batch = b.batch;
-    delta.base_rate = b.events_per_sec;
-    delta.fresh_rate = it->events_per_sec;
-    delta.change = b.events_per_sec <= 0.0
-                       ? 0.0
-                       : (it->events_per_sec - b.events_per_sec) /
-                             b.events_per_sec;
-    delta.regressed = delta.change < -max_regression;
-    if (delta.change < worst_change) {
-      worst_change = delta.change;
-      worst_batch = static_cast<int>(delta.batch);
+  std::string failures;
+  for (const Point& b : base.points) {
+    BenchDelta& x = d.points.emplace_back(
+        BenchDelta{b.name, b.unit, b.value, std::nullopt, 0.0, ""});
+    const auto f = std::find_if(
+        fresh.points.begin(), fresh.points.end(),
+        [&](const Point& p) { return p.name == b.name; });
+    if (f == fresh.points.end()) {
+      x.failure = "missing from the fresh run";
+    } else if (f->unit != b.unit || f->better != b.better) {
+      throw std::runtime_error("bench diff: cannot compare point " + b.name +
+                               ": its unit or direction changed");
+    } else {
+      const bool higher = b.better == "higher";
+      x.fresh = f->value;
+      x.change = b.value == 0.0 ? 0.0 : (f->value - b.value) / b.value;
+      if (b.bound && (higher ? f->value < *b.bound : f->value > *b.bound)) {
+        x.failure = "past its bound " + num(*b.bound);
+      } else if ((higher ? -x.change : x.change) > max_regression) {
+        x.failure = pct(std::abs(x.change)) + " worse than baseline";
+      }
     }
-    d.regressed = d.regressed || delta.regressed;
-    d.points.push_back(delta);
+    if (!x.failure.empty()) failures += "; " + x.name + " " + x.failure;
   }
-  if (d.points.empty()) {
-    throw std::runtime_error("bench json: no comparable batch points");
-  }
-  if (floor.min_speedup > 0.0) {
-    const auto it =
-        std::find_if(fresh.begin(), fresh.end(),
-                     [&](const BenchPoint& f) { return f.batch == floor.batch; });
-    if (it == fresh.end()) {
-      d.regressed = true;
-      d.verdict = "FLOOR: fresh sweep has no batch " +
-                  std::to_string(floor.batch) + " point to gate";
-      return d;
-    }
-    if (it->speedup < floor.min_speedup) {
-      d.regressed = true;
-      d.verdict = "FLOOR: batch " + std::to_string(floor.batch) +
-                  " speedup " + num(it->speedup) + "x below required " +
-                  num(floor.min_speedup) + "x — batching no longer wins";
-      return d;
-    }
-  }
-  if (d.regressed) {
-    d.verdict = "REGRESSED: batch " + std::to_string(worst_batch) +
-                " throughput " + pct(-worst_change) + " below baseline " +
-                "(threshold " + pct(max_regression) + ")";
-  } else if (worst_batch >= 0) {
-    d.verdict = "clean: worst point batch " + std::to_string(worst_batch) +
-                " at " + pct(-worst_change) + " below baseline (threshold " +
-                pct(max_regression) + ")";
-  } else {
-    d.verdict = "clean: no point below baseline";
-  }
+  d.regressed = !failures.empty();
+  d.verdict = d.regressed ? "REGRESSED (threshold " + pct(max_regression) +
+                                "): " + failures.substr(2)
+                          : "clean: " + std::to_string(d.points.size()) +
+                                " points within " + pct(max_regression) +
+                                " of baseline and inside their bounds";
   return d;
 }
 

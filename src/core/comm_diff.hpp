@@ -5,12 +5,13 @@
 // the profiler did (a measurement bug worth catching just as early). This
 // module quantifies "the same way": normalized L1 and max-cell distances
 // between whole-run matrices, per-epoch distances between flight-recorder
-// timelines, per-loop volume drift, and a throughput comparison for the
-// BENCH_*.json files the ingest bench emits. Thresholds turn the distances
-// into a clean/regressed verdict the CLI maps to exit code 0 / 3.
+// timelines, per-loop volume drift, and a point-by-point comparison of the
+// BENCH_*.json files the benches emit. Thresholds turn the distances into a
+// clean/regressed verdict the CLI maps to exit code 0 / 3.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,53 +85,26 @@ struct TimelineDiff {
 
 // --- bench comparison (the CI perf gate) -------------------------------------
 
-/// One sweep point of a BENCH_ingest.json file.
-struct BenchPoint {
-  std::uint32_t batch = 0;
-  double events_per_sec = 0.0;
-  double speedup = 0.0;
-};
-
-/// Minimal parse of the ingest bench's own JSON (this is a reader for a
-/// format we emit, not a general JSON parser). Throws std::runtime_error
-/// when the expected fields are missing.
-[[nodiscard]] std::vector<BenchPoint> parse_bench_json(const std::string& text);
-
-/// One compared sweep point: relative throughput change vs baseline
-/// (negative = slower than baseline).
+/// One compared point of a bench file (schema: README, "commscope diff").
 struct BenchDelta {
-  std::uint32_t batch = 0;
-  double base_rate = 0.0;
-  double fresh_rate = 0.0;
-  double change = 0.0;  ///< (fresh - base) / base
-  bool regressed = false;
+  std::string name, unit;
+  double base = 0.0;
+  std::optional<double> fresh;  ///< empty when the fresh file lacks it
+  double change = 0.0;          ///< (fresh - base) / base
+  std::string failure;  ///< why the point fails the gate; empty = passes
 };
 
 struct BenchDiff {
-  std::vector<BenchDelta> points;
+  std::vector<BenchDelta> points;  ///< one per baseline point, in its order
   bool regressed = false;
   std::string verdict;
 };
 
-/// Absolute floor on the fresh sweep's batched speedup: the point at
-/// `batch` must report `speedup >= min_speedup` regardless of how the
-/// baseline performed. The relative gate alone cannot catch a change that
-/// makes batching pointless when the baseline was *also* bad (or when the
-/// baseline file is regenerated) — the floor pins the claim "batch-64 ingest
-/// beats the inline path" itself. A `min_speedup` of 0 disables the check.
-struct BenchFloor {
-  std::uint32_t batch = 64;
-  double min_speedup = 0.0;
-};
-
-/// Compares two bench JSON payloads: a point regresses when its throughput
-/// fell more than `max_regression` (fraction, e.g. 0.25) below baseline, or
-/// when the fresh sweep misses `floor` (see BenchFloor; a missing floor
-/// point is itself a failure — silently skipping the gate would pass a
-/// sweep that no longer measures the gated configuration).
+/// Compares a fresh bench file against a baseline (schema and rules: README,
+/// "commscope diff"). Throws std::runtime_error on a file outside the schema
+/// and ("cannot compare") on a bench, provenance, unit or direction mismatch.
 [[nodiscard]] BenchDiff diff_bench(const std::string& baseline_json,
                                    const std::string& fresh_json,
-                                   double max_regression = 0.25,
-                                   BenchFloor floor = {});
+                                   double max_regression = 0.25);
 
 }  // namespace commscope::core

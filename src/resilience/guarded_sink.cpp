@@ -167,6 +167,19 @@ void GuardedSink::flush() noexcept {
   }
 }
 
+inline void GuardedSink::coarse_enter(Slot& s) noexcept {
+  for (;;) {
+    if (asym_) {
+      s.active.store(1, std::memory_order_relaxed);
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+    } else {
+      s.active.store(1, std::memory_order_seq_cst);
+    }
+    if (!coarse_pending_.load(std::memory_order_acquire)) [[likely]] return;
+    coarse_backout(s);
+  }
+}
+
 void GuardedSink::coarse_backout(Slot& s) noexcept {
   // Budget crossed (or a check is in flight): back out, run/await the
   // stop-the-world check, then let the caller retry the enter.
@@ -314,23 +327,10 @@ void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
       profiler_->on_access(tid, addr, size, kind);
       return;
     }
-    // Coarse fast path. The guard's pending flag doubles as the Dekker pause
-    // flag: the world only ever stops while it is set (coarse_tick() clears
-    // it, with release, only after the check completes), so one acquire load
-    // is both the budget poll and the safepoint check. Suppression needs no
-    // check here — it is event-budget driven, and an event budget forces
-    // precise mode.
+    // Coarse fast path. Suppression needs no check here — it is event-budget
+    // driven, and an event budget forces precise mode.
     Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
-    for (;;) {
-      if (asym_) {
-        s.active.store(1, std::memory_order_relaxed);
-        std::atomic_signal_fence(std::memory_order_seq_cst);
-      } else {
-        s.active.store(1, std::memory_order_seq_cst);
-      }
-      if (!coarse_pending_.load(std::memory_order_acquire)) [[likely]] break;
-      coarse_backout(s);
-    }
+    coarse_enter(s);
     profiler_->on_access(tid, addr, size, kind);
     safepoint_leave(s);
     return;
@@ -363,16 +363,7 @@ void GuardedSink::on_drain(int tid) {
   }
   Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
   if (!precise_) {
-    for (;;) {
-      if (asym_) {
-        s.active.store(1, std::memory_order_relaxed);
-        std::atomic_signal_fence(std::memory_order_seq_cst);
-      } else {
-        s.active.store(1, std::memory_order_seq_cst);
-      }
-      if (!coarse_pending_.load(std::memory_order_acquire)) [[likely]] break;
-      coarse_backout(s);
-    }
+    coarse_enter(s);
   } else {
     safepoint_enter(s);
   }

@@ -117,6 +117,12 @@ class GuardedSink final : public instrument::AccessSink {
   /// Coarse-mode response to the guard's pending flag: stop the world and
   /// run the guard check, indexed by the profiler's own access count.
   void coarse_tick();
+  /// Coarse-mode safepoint enter. The guard's pending flag doubles as the
+  /// Dekker pause flag: the world only ever stops while it is set
+  /// (coarse_tick() clears it, with release, only after the check
+  /// completes), so one acquire load is both the budget poll and the
+  /// safepoint check. Inlined at the call sites.
+  void coarse_enter(Slot& s) noexcept;
   /// Coarse-mode backout: leave the slot, run/await the pending check.
   /// Kept out of line (cold) so the fast path stays frame-light — inlining
   /// the world-stop machinery would spill arguments on every access.

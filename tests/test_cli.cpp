@@ -556,23 +556,43 @@ TEST(CliRecorder, CheckpointWritesEpochSidecar) {
   std::remove((ck + ".epochs").c_str());
 }
 
+/// Writes an ingest_throughput bench file (bench_common.hpp's schema) with
+/// batch 0 and 64 rates and the bounded batch-64 speedup, recorded at
+/// `scale`; `drop` names a point to leave out.
+std::string write_ingest_bench(const std::string& name, double rate64,
+                               double speedup,
+                               const std::string& scale = "simsmall",
+                               const std::string& drop = "") {
+  const std::string path = tmp(name);
+  std::ofstream out(path);
+  out << "{\"bench\": \"ingest_throughput\",\n \"provenance\": {\"scale\": \""
+      << scale
+      << "\", \"threads\": 8, \"simd\": \"avx2\", \"events\": 2153752},\n"
+      << " \"points\": [\n"
+      << "  {\"name\": \"batch_0.events_per_sec\", \"unit\": \"events/s\", "
+         "\"value\": 1e6, \"better\": \"higher\"}";
+  if (drop != "batch_64.events_per_sec") {
+    out << ",\n  {\"name\": \"batch_64.events_per_sec\", \"unit\": "
+           "\"events/s\", \"value\": "
+        << rate64 << ", \"better\": \"higher\"}";
+  }
+  if (drop != "batch_64.speedup") {
+    out << ",\n  {\"name\": \"batch_64.speedup\", \"unit\": \"x\", "
+           "\"value\": "
+        << speedup << ", \"better\": \"higher\", \"bound\": 1}";
+  }
+  out << "\n]}\n";
+  return path;
+}
+
 TEST(CliRecorder, BenchDiffGateCatchesInjectedRegression) {
-  const std::string base = tmp("bench_base.json");
-  const std::string slow = tmp("bench_slow.json");
-  {
-    std::ofstream out(base);
-    out << "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-           "  {\"batch\": 0, \"events_per_sec\": 1e6, \"speedup\": 1},\n"
-           "  {\"batch\": 64, \"events_per_sec\": 3e6, \"speedup\": 3}\n]}\n";
-  }
-  {
-    std::ofstream out(slow);  // batch-64 throughput down 40%: past the gate
-    out << "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-           "  {\"batch\": 0, \"events_per_sec\": 1e6, \"speedup\": 1},\n"
-           "  {\"batch\": 64, \"events_per_sec\": 1.8e6, \"speedup\": 1.8}\n]}\n";
-  }
+  const std::string base = write_ingest_bench("bench_base.json", 3e6, 3);
+  // Batch-64 throughput down 40%: past the gate.
+  const std::string slow = write_ingest_bench("bench_slow.json", 1.8e6, 1.8);
   const RunResult self_diff = run_cli("diff --bench " + base + " " + base);
   EXPECT_EQ(self_diff.exit_code, 0) << self_diff.output;
+  EXPECT_NE(self_diff.output.find("events/s"), std::string::npos)
+      << self_diff.output;
   const RunResult gate = run_cli("diff --bench " + base + " " + slow);
   EXPECT_EQ(gate.exit_code, 3) << gate.output;
   EXPECT_NE(gate.output.find("REGRESSED"), std::string::npos) << gate.output;
@@ -580,8 +600,45 @@ TEST(CliRecorder, BenchDiffGateCatchesInjectedRegression) {
   const RunResult loose =
       run_cli("diff --bench --threshold=0.5 " + base + " " + slow);
   EXPECT_EQ(loose.exit_code, 0) << loose.output;
-  std::remove(base.c_str());
-  std::remove(slow.c_str());
+  // The floor flags are gone: the bound travels in the baseline file.
+  EXPECT_EQ(run_cli("diff --bench --floor-speedup=1.0 " + base + " " + base)
+                .exit_code,
+            2);
+}
+
+TEST(CliRecorder, BenchDiffMissingPointOrPastBoundExits3) {
+  const std::string base = write_ingest_bench("bound_base.json", 1.1e6, 1.1);
+  for (const char* drop : {"batch_64.events_per_sec", "batch_64.speedup"}) {
+    const std::string fresh = write_ingest_bench(
+        std::string("bound_no_") + drop, 1.1e6, 1.1, "simsmall", drop);
+    const RunResult r = run_cli("diff --bench " + base + " " + fresh);
+    EXPECT_EQ(r.exit_code, 3) << drop << "\n" << r.output;
+    EXPECT_NE(r.output.find("missing"), std::string::npos) << r.output;
+  }
+  // Rates unchanged, batch 64 no longer beats inline ingest.
+  const std::string lost = write_ingest_bench("bound_lost.json", 1.1e6, 0.95);
+  const RunResult r = run_cli("diff --bench " + base + " " + lost);
+  EXPECT_EQ(r.exit_code, 3) << r.output;
+  EXPECT_NE(r.output.find("bound"), std::string::npos) << r.output;
+}
+
+TEST(CliRecorder, BenchDiffRefusesMismatchedRuns) {
+  const std::string base = write_ingest_bench("refuse_base.json", 3e6, 3);
+  const std::string dev =
+      write_ingest_bench("refuse_dev.json", 3e6, 3, "simdev");
+  const std::string serve = tmp("refuse_serve.json");
+  {
+    std::ofstream out(serve);
+    out << "{\"bench\": \"serve_durability\", \"provenance\": {\"epochs\": "
+           "4096}, \"points\": [{\"name\": \"volatile.epochs_per_sec\", "
+           "\"unit\": \"epochs/s\", \"value\": 352861, \"better\": "
+           "\"higher\"}]}\n";
+  }
+  for (const std::string& other : {dev, serve}) {
+    const RunResult r = run_cli("diff --bench " + base + " " + other);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("cannot compare"), std::string::npos) << r.output;
+  }
 }
 
 TEST(CliRecorder, DiffRejectsMixedAndUnknownFormats) {

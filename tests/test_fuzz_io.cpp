@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/comm_diff.hpp"
 #include "core/epoch_io.hpp"
 #include "core/flight_recorder.hpp"
 #include "core/matrix_io.hpp"
@@ -166,6 +167,35 @@ TEST(FuzzIo, DamagedTraceFilesNeverCrash) {
     }
   }
   EXPECT_EQ(rejected, kIterations);
+}
+
+TEST(FuzzIo, DamagedBenchFilesNeverCrash) {
+  // `commscope diff --bench` reads files from CI artifacts: a damaged one
+  // must compare or throw std::runtime_error (exit 1), never anything else.
+  const std::string original =
+      "{\n  \"bench\": \"ingest_throughput\",\n  \"provenance\": "
+      "{\"scale\": \"simsmall\", \"threads\": 8, \"events\": 2153752},\n"
+      "  \"points\": [\n"
+      "    {\"name\": \"batch_0.events_per_sec\", \"unit\": \"events/s\", "
+      "\"value\": 3.79375e+07, \"better\": \"higher\"},\n"
+      "    {\"name\": \"batch_64.speedup\", \"unit\": \"x\", "
+      "\"value\": 1.29018, \"better\": \"higher\", \"bound\": 1}\n"
+      "  ]\n}\n";
+  ASSERT_FALSE(cc::diff_bench(original, original).regressed);
+  cs::SplitMix64 rng(0xbe7c4);
+  int rejected = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const std::string damaged = damage(original, rng);
+    for (const bool damaged_is_fresh : {true, false}) {
+      try {
+        (void)(damaged_is_fresh ? cc::diff_bench(original, damaged)
+                                : cc::diff_bench(damaged, original));
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FuzzIo, TraceCountLiesNeverOverAllocate) {

@@ -6,11 +6,18 @@
 // same way with telemetry off, so the notelemetry CI preset runs all of it.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/comm_diff.hpp"
 #include "core/comm_matrix.hpp"
 #include "core/epoch_io.hpp"
@@ -257,68 +264,234 @@ TEST(CommDiff, LoopDriftIsKeyedByLabel) {
   }
 }
 
-TEST(BenchDiff, ParsesOwnJsonAndFlagsRegression) {
-  const std::string base =
-      "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-      "  {\"batch\": 0, \"events_per_sec\": 1000000, \"speedup\": 1},\n"
-      "  {\"batch\": 64, \"events_per_sec\": 3000000, \"speedup\": 3}\n]}";
-  const std::vector<cc::BenchPoint> pts = cc::parse_bench_json(base);
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[1].batch, 64u);
-  EXPECT_DOUBLE_EQ(pts[1].events_per_sec, 3000000.0);
+// --- bench schema: bench_common.hpp's writer, diff_bench's reader ---------
 
-  EXPECT_FALSE(cc::diff_bench(base, base).regressed);  // self-diff clean
+namespace {
 
-  const std::string slow =
-      "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-      "  {\"batch\": 0, \"events_per_sec\": 1000000, \"speedup\": 1},\n"
-      "  {\"batch\": 64, \"events_per_sec\": 2000000, \"speedup\": 2}\n]}";
-  const cc::BenchDiff d = cc::diff_bench(base, slow, 0.25);
-  EXPECT_TRUE(d.regressed);  // -33% at batch 64 crosses the 25% gate
-  ASSERT_EQ(d.points.size(), 2u);
-  EXPECT_FALSE(d.points[0].regressed);
-  EXPECT_TRUE(d.points[1].regressed);
+const char* const kIngestProvenance =
+    R"({"scale": "simsmall", "threads": 8, "simd": "avx2", "events": 2153752})";
 
-  EXPECT_THROW((void)cc::parse_bench_json("{\"not\": \"a bench\"}"),
-               std::runtime_error);
+std::string bench_point(const std::string& name, const std::string& unit,
+                        double value, const std::string& tail = "") {
+  std::ostringstream os;
+  os << R"({"name": ")" << name << R"(", "unit": ")" << unit
+     << R"(", "value": )" << value << R"(, "better": "higher")" << tail << "}";
+  return os.str();
 }
 
-TEST(BenchDiff, FloorGatesAbsoluteBatchSpeedup) {
+std::string bench_file(const std::vector<std::string>& points,
+                       const std::string& provenance = kIngestProvenance,
+                       const std::string& bench = "ingest_throughput") {
+  std::string out = R"({"bench": ")" + bench + R"(", "provenance": )" +
+                    provenance + R"(, "points": [)";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    out += (i == 0 ? "\n  " : ",\n  ") + points[i];
+  }
+  return out + "\n]}\n";
+}
+
+std::string rate0(double v) {
+  return bench_point("batch_0.events_per_sec", "events/s", v);
+}
+std::string rate64(double v) {
+  return bench_point("batch_64.events_per_sec", "events/s", v);
+}
+std::string speedup64(double v, const std::string& bound = R"(, "bound": 1)") {
+  return bench_point("batch_64.speedup", "x", v, bound);
+}
+
+/// The refusal message of a diff that must not compare, or "" if it did.
+std::string refusal(const std::string& base, const std::string& fresh) {
+  try {
+    (void)cc::diff_bench(base, fresh);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(BenchDiff, FlagsEachPointThatGotWorse) {
+  const std::string base = bench_file({rate0(1e6), rate64(3e6), speedup64(3)});
+  const cc::BenchDiff self = cc::diff_bench(base, base);
+  EXPECT_FALSE(self.regressed) << self.verdict;  // self-diff clean
+  ASSERT_EQ(self.points.size(), 3u);
+  EXPECT_EQ(self.points[1].name, "batch_64.events_per_sec");
+  EXPECT_EQ(self.points[1].unit, "events/s");
+  EXPECT_EQ(self.points[2].unit, "x");
+  EXPECT_DOUBLE_EQ(self.points[1].base, 3e6);
+  EXPECT_DOUBLE_EQ(self.points[1].change, 0.0);
+
+  // -33% at batch 64 crosses the 25% gate; batch 0 did not move.
+  const std::string slow = bench_file({rate0(1e6), rate64(2e6), speedup64(2)});
+  const cc::BenchDiff d = cc::diff_bench(base, slow, 0.25);
+  EXPECT_TRUE(d.regressed);
+  ASSERT_EQ(d.points.size(), 3u);
+  EXPECT_TRUE(d.points[0].failure.empty()) << d.points[0].failure;
+  EXPECT_FALSE(d.points[1].failure.empty());
+  EXPECT_NE(d.verdict.find("batch_64.events_per_sec"), std::string::npos)
+      << d.verdict;
+  // A wider threshold waves the same pair through.
+  EXPECT_FALSE(cc::diff_bench(base, slow, 0.5).regressed);
+
+  // `better` sets the direction: a lower-is-better point regresses upward.
+  const std::string lat = bench_file(
+      {R"({"name": "ack_p99", "unit": "ms", "value": 10, "better": "lower"})"});
+  const std::string lat_up = bench_file(
+      {R"({"name": "ack_p99", "unit": "ms", "value": 13, "better": "lower"})"});
+  const std::string lat_down = bench_file(
+      {R"({"name": "ack_p99", "unit": "ms", "value": 5, "better": "lower"})"});
+  EXPECT_TRUE(cc::diff_bench(lat, lat_up).regressed);
+  EXPECT_FALSE(cc::diff_bench(lat, lat_down).regressed);
+
+  // Files outside the schema throw, the pre-schema sweep layout included.
+  EXPECT_THROW((void)cc::diff_bench(R"({"not": "a bench"})", base),
+               std::runtime_error);
+  EXPECT_THROW(
+      (void)cc::diff_bench(
+          base, R"({"bench": "ingest_throughput", "sweep": [)"
+                R"({"batch": 64, "events_per_sec": 3e6, "speedup": 3}]})"),
+      std::runtime_error);
+  EXPECT_THROW((void)cc::diff_bench(base, base + "x"), std::runtime_error);
+}
+
+TEST(BenchDiff, BoundGatesTheFreshValueWithRatesUnchanged) {
   const std::string base =
-      "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-      "  {\"batch\": 0, \"events_per_sec\": 1000000, \"speedup\": 1},\n"
-      "  {\"batch\": 64, \"events_per_sec\": 1400000, \"speedup\": 1.4}\n]}";
+      bench_file({rate0(1e6), rate64(1.1e6), speedup64(1.1)});
+  EXPECT_FALSE(cc::diff_bench(base, base).regressed);
 
-  // Self-diff passes a 1.0 floor: the batched point genuinely wins.
-  cc::BenchFloor floor;
-  floor.min_speedup = 1.0;
-  EXPECT_FALSE(cc::diff_bench(base, base, 0.25, floor).regressed);
+  // Same rates, so the relative gate is silent (-14% on the speedup), but
+  // batch 64 no longer beats inline ingest: the bound is an absolute claim,
+  // and --threshold does not widen it.
+  const std::string lost =
+      bench_file({rate0(1e6), rate64(1.1e6), speedup64(0.95)});
+  for (const double threshold : {0.25, 0.9}) {
+    const cc::BenchDiff d = cc::diff_bench(base, lost, threshold);
+    EXPECT_TRUE(d.regressed) << d.verdict;
+    EXPECT_TRUE(d.points[0].failure.empty());
+    EXPECT_TRUE(d.points[1].failure.empty());
+    EXPECT_NE(d.points[2].failure.find("bound"), std::string::npos)
+        << d.points[2].failure;
+  }
+  // The baseline's bound governs: a fresh file cannot drop or lower it.
+  EXPECT_TRUE(cc::diff_bench(base, bench_file({rate0(1e6), rate64(1.1e6),
+                                               speedup64(0.95, "")}))
+                  .regressed);
+  EXPECT_TRUE(
+      cc::diff_bench(base, bench_file({rate0(1e6), rate64(1.1e6),
+                                       speedup64(0.95, R"(, "bound": 0.5)")}))
+          .regressed);
+  // A value exactly at the bound passes.
+  EXPECT_FALSE(
+      cc::diff_bench(base, bench_file({rate0(1e6), rate64(1.1e6),
+                                       speedup64(1.0)}))
+          .regressed);
+}
 
-  // A fresh sweep whose throughput matches baseline point-for-point (so the
-  // relative gate is silent) but whose batch-64 point no longer beats the
-  // inline path must still fail: the floor is an absolute claim.
-  const std::string batching_lost =
-      "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-      "  {\"batch\": 0, \"events_per_sec\": 1000000, \"speedup\": 1},\n"
-      "  {\"batch\": 64, \"events_per_sec\": 1400000, \"speedup\": 0.93}\n]}";
-  const cc::BenchDiff lost = cc::diff_bench(base, batching_lost, 0.25, floor);
-  EXPECT_TRUE(lost.regressed);
-  EXPECT_NE(lost.verdict.find("FLOOR"), std::string::npos) << lost.verdict;
+TEST(BenchDiff, MissingPointRegressesWithoutAnyFlag) {
+  const std::string base =
+      bench_file({rate0(1e6), rate64(1.4e6), speedup64(1.4)});
+  const cc::BenchDiff no_speedup =
+      cc::diff_bench(base, bench_file({rate0(1e6), rate64(1.4e6)}));
+  EXPECT_TRUE(no_speedup.regressed);
+  ASSERT_EQ(no_speedup.points.size(), 3u);
+  EXPECT_FALSE(no_speedup.points[2].fresh.has_value());
+  EXPECT_NE(no_speedup.points[2].failure.find("missing"), std::string::npos);
 
-  // A sweep that dropped the gated batch size entirely cannot pass the gate
-  // by omission.
-  const std::string no_point =
-      "{\"bench\": \"ingest_throughput\", \"sweep\": [\n"
-      "  {\"batch\": 0, \"events_per_sec\": 1000000, \"speedup\": 1},\n"
-      "  {\"batch\": 128, \"events_per_sec\": 1500000, \"speedup\": 1.5}\n]}";
-  const cc::BenchDiff missing = cc::diff_bench(base, no_point, 0.25, floor);
-  EXPECT_TRUE(missing.regressed);
-  EXPECT_NE(missing.verdict.find("FLOOR"), std::string::npos)
-      << missing.verdict;
+  // A sweep that dropped batch 64 but gained batch 128 cannot pass by
+  // omission; points only the fresh run has are not judged.
+  const cc::BenchDiff no_64 = cc::diff_bench(
+      base,
+      bench_file({rate0(1e6),
+                  bench_point("batch_128.events_per_sec", "events/s", 1.5e6),
+                  speedup64(1.4)}));
+  EXPECT_TRUE(no_64.regressed);
+  EXPECT_NE(no_64.verdict.find("batch_64.events_per_sec missing"),
+            std::string::npos)
+      << no_64.verdict;
+  EXPECT_FALSE(
+      cc::diff_bench(base, bench_file({rate0(1e6), rate64(1.4e6),
+                                       speedup64(1.4),
+                                       bench_point("extra", "x", 1)}))
+          .regressed);
+}
 
-  // min_speedup = 0 disables the floor (the default): the same sweeps are
-  // judged by the relative gate alone.
-  EXPECT_FALSE(cc::diff_bench(base, batching_lost, 0.25).regressed);
+TEST(BenchDiff, RefusesAcrossBenchesAndProvenance) {
+  const std::string base =
+      bench_file({rate0(1e6), rate64(1.4e6), speedup64(1.4)});
+  // The same points under another bench name.
+  EXPECT_NE(refusal(base, bench_file({rate0(1e6), rate64(1.4e6),
+                                      speedup64(1.4)},
+                                     kIngestProvenance, "serve_durability"))
+                .find("cannot compare"),
+            std::string::npos);
+  // Every provenance value takes part, and so does the key set.
+  const char* const others[] = {
+      R"({"scale": "simdev", "threads": 8, "simd": "avx2", )"
+      R"("events": 2153752})",
+      R"({"scale": "simsmall", "threads": 4, "simd": "avx2", )"
+      R"("events": 2153752})",
+      R"({"scale": "simsmall", "threads": 8, "simd": "scalar", )"
+      R"("events": 2153752})",
+      R"({"scale": "simsmall", "threads": 8, "simd": "avx2", )"
+      R"("events": 450020})",
+      R"({"scale": "simsmall", "threads": 8, "simd": "avx2"})",
+  };
+  for (const char* provenance : others) {
+    const std::string fresh =
+        bench_file({rate0(1e6), rate64(1.4e6), speedup64(1.4)}, provenance);
+    EXPECT_NE(refusal(base, fresh).find("cannot compare"), std::string::npos)
+        << provenance;
+  }
+  // A shared point whose unit changed is not the same quantity.
+  EXPECT_NE(refusal(base, bench_file({rate0(1e6),
+                                      bench_point("batch_64.events_per_sec",
+                                                  "events/ms", 1.4e3),
+                                      speedup64(1.4)}))
+                .find("cannot compare"),
+            std::string::npos);
+}
+
+TEST(BenchDiff, WriterOutputAndCommittedBaselinesReadBack) {
+  namespace cb = commscope::bench;
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("commscope_bench_" +
+                             std::to_string(::getpid()) + ".json"))
+                               .string();
+  ASSERT_EQ(::setenv("COMMSCOPE_BENCH_OUT", path.c_str(), 1), 0);
+  cb::BenchJson json("unit_bench");
+  json.provenance("scale", "simdev");
+  json.provenance("events", std::uint64_t{123456789});
+  json.point("a.rate", "events/s", 4.89462e+07, cb::Better::kHigher);
+  json.point("b.ms", "ms", 2.5, cb::Better::kLower, 4.0);
+  json.write("unused.json");
+  ::unsetenv("COMMSCOPE_BENCH_OUT");
+  std::ifstream in(path);
+  std::stringstream written;
+  written << in.rdbuf();
+  std::remove(path.c_str());
+  const cc::BenchDiff self = cc::diff_bench(written.str(), written.str());
+  EXPECT_FALSE(self.regressed) << self.verdict;
+  ASSERT_EQ(self.points.size(), 2u);
+  EXPECT_DOUBLE_EQ(self.points[0].base, 4.89462e+07);
+  EXPECT_EQ(self.points[1].unit, "ms");
+
+  // The committed baselines are in the schema and only compare with
+  // themselves.
+  const auto slurp = [](const std::string& name) {
+    std::ifstream f(std::string(COMMSCOPE_BENCH_DIR) + "/" + name);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+  };
+  const std::string ingest = slurp("BENCH_ingest.json");
+  const std::string serve = slurp("BENCH_serve.json");
+  EXPECT_EQ(cc::diff_bench(ingest, ingest).points.size(), 8u);
+  EXPECT_EQ(cc::diff_bench(serve, serve).points.size(), 4u);
+  EXPECT_FALSE(cc::diff_bench(serve, serve).regressed);
+  EXPECT_NE(refusal(serve, ingest).find("cannot compare"), std::string::npos);
+  EXPECT_NE(refusal(ingest, serve).find("cannot compare"), std::string::npos);
 }
 
 // --- report renderers (unconditional) --------------------------------------

@@ -29,12 +29,10 @@
 //       Render a recorded epoch timeline (--epochs-out / checkpoint sidecar)
 //       as a terminal summary, JSON document or self-contained HTML page.
 //   commscope diff <A> <B> [--threshold-l1=F --threshold-cell=F]
-//                  [--bench --threshold=F --floor-speedup=F --floor-batch=N]
-//       Compare two runs: epoch files, matrix files, or (--bench) ingest
-//       bench JSON. --floor-speedup additionally requires the fresh sweep's
-//       batch --floor-batch (default 64) point to report at least that
-//       speedup. Exits 0 when within thresholds, 3 on regression — the
-//       CI gate.
+//                  [--bench --threshold=F]
+//       Compare two runs: epoch files, matrix files, or (--bench) two
+//       BENCH_*.json files of one bench and one provenance. Exits 0 when
+//       within thresholds, 3 on regression — the CI gate.
 //   commscope serve --socket=PATH [--mem-budget=BYTES --reap-ms=T
 //                    --max-sessions=N --sessions=N --idle-exit-ms=T
 //                    --epochs-out=FILE --metrics-out=FILE --timeout=SEC]
@@ -221,8 +219,7 @@ const std::vector<std::string>& known_flags_for(const std::string& cmd) {
                           {"interval", "connect"})},
       {"report", {"format", "out", "matrix", "metrics", "title"}},
       {"diff",
-       {"bench", "threshold", "floor-speedup", "floor-batch", "threshold-l1",
-        "threshold-cell", "quiet"}},
+       {"bench", "threshold", "threshold-l1", "threshold-cell", "quiet"}},
       {"serve",
        {"socket", "mem-budget", "reap-ms", "max-sessions", "sessions",
         "idle-exit-ms", "epochs-out", "metrics-out", "quiet", "scrape",
@@ -1252,7 +1249,7 @@ int cmd_report(const cs::ArgParser& args) {
 int cmd_diff(const cs::ArgParser& args) {
   if (args.positional().size() < 3) {
     std::cerr << "diff: expected two files to compare "
-                 "(epochs, matrices, or --bench ingest JSON)\n";
+                 "(epochs, matrices, or --bench BENCH_*.json)\n";
     return usage();
   }
   const std::string& path_a = args.positional()[1];
@@ -1263,23 +1260,15 @@ int cmd_diff(const cs::ArgParser& args) {
   std::ostream& log = out_stream(quiet);
 
   if (args.has("bench")) {
-    const double threshold = args.get_double_strict("threshold", 0.25);
-    // Absolute floor on the fresh sweep's batched speedup (0 = off): the
-    // relative gate tolerates a slow fresh run as long as the baseline was
-    // equally slow, but "batching still beats inline ingest" is an absolute
-    // claim — CI pins it with --floor-speedup=1.0 at the default batch 64.
-    cc::BenchFloor floor;
-    floor.min_speedup = args.get_double_strict("floor-speedup", 0.0);
-    floor.batch = static_cast<std::uint32_t>(
-        args.get_double_strict("floor-batch", floor.batch));
-    const cc::BenchDiff d = cc::diff_bench(text_a, text_b, threshold, floor);
+    const cc::BenchDiff d = cc::diff_bench(
+        text_a, text_b, args.get_double_strict("threshold", 0.25));
     log << "bench diff: " << path_a << " (baseline) vs " << path_b << "\n";
     for (const cc::BenchDelta& p : d.points) {
-      log << "  batch=" << p.batch << "  " << cs::Table::num(p.base_rate, 0)
-          << " -> " << cs::Table::num(p.fresh_rate, 0) << " events/s  ("
-          << (p.change >= 0 ? "+" : "")
+      log << "  " << p.name << "  " << p.base << " -> ";
+      (p.fresh ? log << *p.fresh : log << "missing")
+          << " " << p.unit << "  (" << (p.change >= 0 ? "+" : "")
           << cs::Table::num(p.change * 100.0, 1) << "%)"
-          << (p.regressed ? "  REGRESSED" : "") << "\n";
+          << (p.failure.empty() ? "" : "  FAILED: " + p.failure) << "\n";
     }
     // The verdict is essential output, loud even under --quiet.
     (d.regressed ? std::cerr : static_cast<std::ostream&>(std::cout))
@@ -1338,7 +1327,7 @@ int cmd_diff(const cs::ArgParser& args) {
   }
   std::cerr << "diff: unrecognized file format '" << magic_a
             << "' (expected commscope-epochs or commscope-matrix; "
-               "use --bench for ingest bench JSON)\n";
+               "use --bench for BENCH_*.json files)\n";
   return 1;
 }
 
